@@ -204,6 +204,16 @@ class JoinSizeEstimator:
         self._prepared: List[PreparedJoinPredicate] = [
             self._prepare(p) for p in query.predicates if p.is_join
         ]
+        # Incidence index for step 6: per table, each incident predicate
+        # with its position in ``_prepared`` and its *other* tables, kept in
+        # ``_prepared`` order so eligible tuples come out in that order.
+        self._incident: Dict[
+            str, List[Tuple[int, PreparedJoinPredicate, FrozenSet[str]]]
+        ] = {table: [] for table in query.tables}
+        for position, prepared in enumerate(self._prepared):
+            tables = prepared.tables
+            for table in tables:
+                self._incident[table].append((position, prepared, tables - {table}))
         self._representatives = self._derive_representatives()
 
     # -- public accessors --------------------------------------------------
@@ -261,12 +271,11 @@ class JoinSizeEstimator:
         link columns in table R with the corresponding columns in a second
         table S that is present in table I."
         """
-        result = []
-        for prepared in self._prepared:
-            tables = prepared.tables
-            if table in tables and (tables - {table}) <= joined:
-                result.append(prepared)
-        return tuple(result)
+        return tuple(
+            prepared
+            for _, prepared, others in self._incident.get(table, ())
+            if others <= joined
+        )
 
     def join(self, state: EstimateState, table: str) -> Tuple[EstimateState, StepEstimate]:
         """Join the next table into the intermediate result.
@@ -294,13 +303,20 @@ class JoinSizeEstimator:
     def eligible_between(
         self, left: FrozenSet[str], right: FrozenSet[str]
     ) -> Tuple[PreparedJoinPredicate, ...]:
-        """Join predicates linking two disjoint table sets (bushy joins)."""
-        result = []
-        for prepared in self._prepared:
-            tables = prepared.tables
-            if (tables & left) and (tables & right) and tables <= (left | right):
-                result.append(prepared)
-        return tuple(result)
+        """Join predicates linking two disjoint table sets (bushy joins).
+
+        A linking predicate touches both sides, so walking the smaller
+        side's incident predicates finds them all; they are returned in
+        ``_prepared`` order.
+        """
+        small, large = (left, right) if len(left) <= len(right) else (right, left)
+        union = left | right
+        found: Dict[int, PreparedJoinPredicate] = {}
+        for table in small:
+            for position, prepared, others in self._incident.get(table, ()):
+                if others <= union and (table in large or not others.isdisjoint(large)):
+                    found[position] = prepared
+        return tuple(found[position] for position in sorted(found))
 
     def join_states(
         self, left: EstimateState, right: EstimateState

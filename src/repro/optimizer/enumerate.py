@@ -25,7 +25,7 @@ from ..core.estimator import EstimateState, JoinSizeEstimator
 from ..errors import OptimizationError
 from ..sql.predicates import Op
 from .cost import CostModel
-from .plans import JoinMethod, JoinPlan, PlanNode, ScanPlan, leaf_order
+from .plans import JoinMethod, JoinPlan, PlanNode, ScanPlan
 
 __all__ = ["enumerate_dp", "enumerate_dp_bushy", "enumerate_greedy"]
 
@@ -35,6 +35,8 @@ class _Candidate:
     plan: PlanNode
     cost: float
     state: EstimateState
+    #: ``leaf_order(plan)``, extended as the candidate grows.
+    order: Tuple[str, ...]
 
     @property
     def sort_key(self):
@@ -44,7 +46,7 @@ class _Candidate:
         mirror-image orders; the lexicographic leaf-order tie-break keeps
         plan choice independent of hash-randomized set iteration.
         """
-        return (self.cost, leaf_order(self.plan))
+        return (self.cost, self.order)
 
 
 def _build_scans(
@@ -69,7 +71,7 @@ def _build_scans(
             estimated_cost=cost,
             row_width=width,
         )
-        scans[relation] = _Candidate(plan, cost, estimator.start(relation))
+        scans[relation] = _Candidate(plan, cost, estimator.start(relation), (relation,))
     return scans
 
 
@@ -112,18 +114,23 @@ def _expand(
     cost_model: CostModel,
     methods: Sequence[JoinMethod],
 ) -> Optional[_Candidate]:
-    """The cheapest way to join ``relation`` into ``candidate``, if any."""
-    eligible = estimator.eligible(candidate.state.tables, relation)
-    applicable = _join_methods_for(eligible, methods)
+    """The cheapest way to join ``relation`` into ``candidate``, if any.
+
+    One estimator step per expansion: the step's eligible predicates decide
+    which join methods apply, and only the cheapest method gets a plan node.
+    """
+    new_state, step = estimator.join(candidate.state, relation)
+    applicable = _join_methods_for(step.eligible, methods)
     if not applicable:
         return None
-    new_state, step = estimator.join(candidate.state, relation)
     scan = scans[relation]
     assert isinstance(scan.plan, ScanPlan)
     outer_width = candidate.plan.row_width
     inner_width = scan.plan.row_width
     result_width = outer_width + inner_width
-    best: Optional[_Candidate] = None
+    output_cost = cost_model.output_cost(new_state.rows, result_width)
+    best_method: Optional[JoinMethod] = None
+    best_cost = 0.0
     for method in applicable:
         join_cost = _join_cost(
             cost_model,
@@ -133,24 +140,19 @@ def _expand(
             scan.state.rows,
             inner_width,
         )
-        total = (
-            candidate.cost
-            + scan.cost
-            + join_cost
-            + cost_model.output_cost(new_state.rows, result_width)
-        )
-        if best is None or total < best.cost:
-            plan = JoinPlan(
-                left=candidate.plan,
-                right=scan.plan,
-                method=method,
-                predicates=tuple(p.predicate for p in eligible),
-                estimated_rows=new_state.rows,
-                estimated_cost=total,
-                row_width=result_width,
-            )
-            best = _Candidate(plan, total, new_state)
-    return best
+        total = candidate.cost + scan.cost + join_cost + output_cost
+        if best_method is None or total < best_cost:
+            best_method, best_cost = method, total
+    plan = JoinPlan(
+        left=candidate.plan,
+        right=scan.plan,
+        method=best_method,
+        predicates=tuple(p.predicate for p in step.eligible),
+        estimated_rows=new_state.rows,
+        estimated_cost=best_cost,
+        row_width=result_width,
+    )
+    return _Candidate(plan, best_cost, new_state, candidate.order + (relation,))
 
 
 def enumerate_dp(
@@ -282,15 +284,16 @@ def _expand_pair(
     methods: Sequence[JoinMethod],
 ) -> Optional[_Candidate]:
     """The cheapest join of two disjoint sub-candidates (bushy step)."""
-    eligible = estimator.eligible_between(left.state.tables, right.state.tables)
-    applicable = _join_methods_for(eligible, methods)
+    new_state, step = estimator.join_states(left.state, right.state)
+    applicable = _join_methods_for(step.eligible, methods)
     if not applicable:
         return None
-    new_state, _ = estimator.join_states(left.state, right.state)
     outer_width = left.plan.row_width
     inner_width = right.plan.row_width
     result_width = outer_width + inner_width
-    best: Optional[_Candidate] = None
+    output_cost = cost_model.output_cost(new_state.rows, result_width)
+    best_method: Optional[JoinMethod] = None
+    best_cost = 0.0
     for method in applicable:
         join_cost = _join_cost(
             cost_model,
@@ -300,24 +303,19 @@ def _expand_pair(
             right.state.rows,
             inner_width,
         )
-        total = (
-            left.cost
-            + right.cost
-            + join_cost
-            + cost_model.output_cost(new_state.rows, result_width)
-        )
-        if best is None or total < best.cost:
-            plan = JoinPlan(
-                left=left.plan,
-                right=right.plan,
-                method=method,
-                predicates=tuple(p.predicate for p in eligible),
-                estimated_rows=new_state.rows,
-                estimated_cost=total,
-                row_width=result_width,
-            )
-            best = _Candidate(plan, total, new_state)
-    return best
+        total = left.cost + right.cost + join_cost + output_cost
+        if best_method is None or total < best_cost:
+            best_method, best_cost = method, total
+    plan = JoinPlan(
+        left=left.plan,
+        right=right.plan,
+        method=best_method,
+        predicates=tuple(p.predicate for p in step.eligible),
+        estimated_rows=new_state.rows,
+        estimated_cost=best_cost,
+        row_width=result_width,
+    )
+    return _Candidate(plan, best_cost, new_state, left.order + right.order)
 
 
 def enumerate_dp_bushy(

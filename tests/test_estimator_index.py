@@ -1,0 +1,151 @@
+"""The estimator's per-table predicate index and the enumerators' work count.
+
+``JoinSizeEstimator.eligible`` and ``eligible_between`` answer from a
+per-table index of prepared join predicates.  Hypothesis checks them
+against a brute-force filter over ``prepared_predicates`` on generated
+chain, star, cycle, clique and snowflake queries, with closure on and off:
+the same predicates, in the same order.  A counting delegate then pins the
+DP's work: one ``join`` per expansion and no separate eligibility pass.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.catalog import Catalog
+from repro.core import ELS, JoinSizeEstimator
+from repro.optimizer import CostModel, JoinMethod, enumerate_dp
+from repro.workloads import clique_workload
+
+from .test_plan_golden import SHAPES, SIZES, plan_workload
+
+
+def _catalog(specs):
+    return Catalog.from_stats(
+        {
+            spec.name: (
+                spec.rows,
+                {name: column.distinct for name, column in spec.columns.items()},
+            )
+            for spec in specs
+        }
+    )
+
+
+def _brute_eligible(estimator, joined, table):
+    return tuple(
+        p
+        for p in estimator.prepared_predicates
+        if table in p.tables and (p.tables - {table}) <= joined
+    )
+
+
+def _brute_between(estimator, left, right):
+    return tuple(
+        p
+        for p in estimator.prepared_predicates
+        if (p.tables & left) and (p.tables & right) and p.tables <= (left | right)
+    )
+
+
+@st.composite
+def estimators(draw):
+    shape = draw(st.sampled_from(SHAPES))
+    size = draw(st.sampled_from(SIZES))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    closure = draw(st.booleans())
+    workload = plan_workload(shape, size, random.Random(seed))
+    return JoinSizeEstimator(
+        workload.query, _catalog(workload.specs), ELS, apply_closure=closure
+    )
+
+
+def _subset(draw, tables):
+    return frozenset(t for t in tables if draw(st.booleans()))
+
+
+class TestEligibleMatchesBruteForce:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), estimator=estimators())
+    def test_eligible(self, data, estimator):
+        tables = sorted(estimator.query.tables)
+        for _ in range(8):
+            joined = _subset(data.draw, tables)
+            table = data.draw(st.sampled_from(tables))
+            assert estimator.eligible(joined, table) == _brute_eligible(
+                estimator, joined, table
+            )
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), estimator=estimators())
+    def test_eligible_between_disjoint(self, data, estimator):
+        tables = sorted(estimator.query.tables)
+        for _ in range(8):
+            left = _subset(data.draw, tables)
+            right = _subset(data.draw, sorted(set(tables) - left))
+            assert estimator.eligible_between(left, right) == _brute_between(
+                estimator, left, right
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), estimator=estimators())
+    def test_eligible_between_overlapping(self, data, estimator):
+        tables = sorted(estimator.query.tables)
+        for _ in range(8):
+            left = _subset(data.draw, tables)
+            right = _subset(data.draw, tables)
+            assert estimator.eligible_between(left, right) == _brute_between(
+                estimator, left, right
+            )
+
+    def test_unknown_table_has_no_eligible_predicates(self):
+        workload = plan_workload("chain", 5, random.Random(0))
+        estimator = JoinSizeEstimator(workload.query, _catalog(workload.specs), ELS)
+        assert estimator.eligible(frozenset({"T1"}), "X") == ()
+        assert estimator.eligible_between(frozenset({"X"}), frozenset({"T1"})) == ()
+
+
+class _CountingEstimator:
+    """Delegates to a :class:`JoinSizeEstimator`, counting calls by name."""
+
+    def __init__(self, estimator):
+        self._estimator = estimator
+        self.calls = {"start": 0, "join": 0, "eligible": 0}
+
+    def __getattr__(self, name):
+        return getattr(self._estimator, name)
+
+    def start(self, table):
+        self.calls["start"] += 1
+        return self._estimator.start(table)
+
+    def join(self, state, table):
+        self.calls["join"] += 1
+        return self._estimator.join(state, table)
+
+    def eligible(self, joined, table):
+        self.calls["eligible"] += 1
+        return self._estimator.eligible(joined, table)
+
+
+class TestDynamicProgrammingWork:
+    def test_one_join_per_expansion_and_no_eligible_pass(self):
+        size = 6
+        workload = clique_workload(size, random.Random(3), 20, 200)
+        counting = _CountingEstimator(
+            JoinSizeEstimator(workload.query, _catalog(workload.specs), ELS)
+        )
+        widths = {spec.name: 8 for spec in workload.specs}
+        rows = {spec.name: spec.rows for spec in workload.specs}
+        enumerate_dp(
+            counting,
+            CostModel(),
+            widths,
+            rows,
+            (JoinMethod.NESTED_LOOPS, JoinMethod.SORT_MERGE),
+        )
+        # A clique's every subset is connected, so each subset of k >= 2
+        # relations is expanded once per member: sum_k C(n, k) * k.
+        expansions = size * (2 ** (size - 1) - 1)
+        assert counting.calls == {"start": size, "join": expansions, "eligible": 0}
