@@ -194,8 +194,11 @@ def true_join_size(
         order: Explicit join order for the reference plan (does not affect
             the count, only execution time).
         engine: Execution engine; the vectorized ``"columnar"`` default is
-            several times faster than ``"row"`` on COUNT ground truths,
-            and ``"parallel"`` adds the morsel-driven tier on top.
+            several times faster than ``"row"`` on these COUNT ground
+            truths because the reference plan is all hash joins (on
+            sort-merge or nested-loops plans columnar runs the row
+            operators behind bridges and is slower), and ``"parallel"``
+            adds the morsel-driven tier on top.
         cache: Ground-truth cache to consult and fill; defaults to the
             process-wide :data:`~repro.analysis.truthcache.DEFAULT_TRUTH_CACHE`.
             Pass ``None`` to force execution.

@@ -93,8 +93,12 @@ class Executor:
             (:mod:`repro.execution.columnar`), ``"parallel"`` for the
             morsel-driven tier (:mod:`repro.execution.parallel`).  All
             three produce identical row multisets, counts, and operator
-            statistics; the columnar engine is several times faster than
-            row on COUNT(*) ground truths, and the parallel engine adds
+            statistics.  The columnar engine is several times faster than
+            row only on hash-join plans, such as the COUNT(*) ground-truth
+            reference plans; it runs nested-loops and sort-merge joins on
+            the row operators behind bridges, so on the optimizer's
+            nested-loops/sort-merge plans it is slower than row.  The
+            parallel engine adds
             index/fused/fan-out probe strategies on top of columnar.
         deadline: Optional cooperative cancellation budget
             (:class:`~repro.resilience.deadline.Deadline`).  Operators
@@ -385,9 +389,10 @@ class Executor:
         scan: Operator = TableScanOp(
             relation=plan.relation,
             column_names=table.schema.column_names,
-            source_rows=table.rows(),
+            source_rows=table.scan(),
             metrics=metrics,
             pages=pages,
+            table=table,
         )
         if plan.local_predicates:
             scan = FilterOp(scan, plan.local_predicates, metrics)

@@ -9,6 +9,7 @@ indexing operations rather than repeated dictionary lookups.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..errors import ExecutionError
@@ -83,12 +84,12 @@ class Layout:
 
 
 _OPERATOR_FUNCS = {
-    Op.EQ: lambda a, b: a == b,
-    Op.NE: lambda a, b: a != b,
-    Op.LT: lambda a, b: a < b,
-    Op.LE: lambda a, b: a <= b,
-    Op.GT: lambda a, b: a > b,
-    Op.GE: lambda a, b: a >= b,
+    Op.EQ: operator.eq,
+    Op.NE: operator.ne,
+    Op.LT: operator.lt,
+    Op.LE: operator.le,
+    Op.GT: operator.gt,
+    Op.GE: operator.ge,
 }
 
 

@@ -5,7 +5,10 @@ Nested Loops and Sort Merge joins (a hash join is included as a modern
 extension, off by default in the optimizer).  Operators follow a simple
 materializing iterator model — each ``rows()`` call produces the full
 output — which is all the benchmark harness needs and keeps row-at-a-time
-Python overhead low.
+Python overhead low.  The per-row work of filters, nested loops and
+sort-merge runs in C (``itemgetter`` keys, ``compress`` over comparison
+maps, ``bisect`` jumps over sorted key lists, one comprehension per
+matched group); the Python loops are per outer row or per key group.
 
 Every operator updates an :class:`~repro.execution.metrics.OperatorStats`:
 rows in/out, key or predicate comparisons, and simulated page I/O (scans
@@ -16,11 +19,15 @@ charges repeated inner scans when the inner does not fit in the buffer).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from itertools import compress, repeat
+from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
-from ..sql.predicates import ColumnRef, ComparisonPredicate
-from .layout import Layout, compile_conjunction, split_join_condition
+from ..sql.predicates import ColumnRef, ComparisonPredicate, Literal
+from ..storage.table import Table
+from .layout import Layout, operator_function, split_join_condition
 from .metrics import ExecutionMetrics, OperatorStats
 
 __all__ = [
@@ -61,13 +68,23 @@ class Operator:
     def rows(self) -> Sequence[Row]:
         raise NotImplementedError
 
+    def sorted_run(self, position: int) -> Optional[Sequence[Row]]:
+        """This operator's rows stably sorted on one column, if precomputed.
+
+        Only a bare table scan has one (:meth:`TableScanOp.sorted_run`);
+        every other operator returns ``None`` and its consumer sorts.
+        """
+        return None
+
 
 class TableScanOp(Operator):
     """Sequential scan of a stored table under a relation name.
 
     The relation name may differ from the base table (alias scans); output
     columns are qualified with the relation name so predicates compiled
-    against the query resolve correctly.
+    against the query resolve correctly.  ``table`` is the stored table
+    ``source_rows`` iterates, when there is one; it lets the scan hand out
+    the table's cached sorted runs.
     """
 
     def __init__(
@@ -77,12 +94,15 @@ class TableScanOp(Operator):
         source_rows: Iterable[Row],
         metrics: ExecutionMetrics,
         pages: float = 0.0,
+        table: Optional[Table] = None,
     ) -> None:
         layout = Layout([ColumnRef(relation, c) for c in column_names])
         super().__init__(layout, metrics.register(f"scan({relation})"))
+        self._column_names = tuple(column_names)
         self._source_rows = source_rows
         self._pages = pages
         self._deadline = metrics.deadline
+        self._table = table
         self._materialized: Optional[Tuple[Row, ...]] = None
 
     def rows(self) -> Sequence[Row]:
@@ -103,9 +123,46 @@ class TableScanOp(Operator):
         self._materialized = result
         return result
 
+    def sorted_run(self, position: int) -> Optional[Sequence[Row]]:
+        """The table's cached sorted run on one column, or ``None``.
+
+        A scan is always *bare* — local predicates run in a
+        :class:`FilterOp` above it — so its rows are the table's rows in
+        order and the table's stable sort equals sorting this scan's
+        output row for row.  ``None`` unless the scan was built over a
+        table and has materialized exactly the table's current rows.
+        """
+        table, scanned = self._table, self._materialized
+        if table is None or scanned is None or len(scanned) != table.row_count:
+            return None
+        return table.sorted_rows(self._column_names[position])
+
+
+def _compile_mask(
+    predicate: ComparisonPredicate, layout: Layout
+) -> Callable[[Sequence[Row]], Iterator[bool]]:
+    """A predicate as a C-level mask: rows -> one truth value per row.
+
+    Evaluates ``op(row[left], constant)`` or ``op(row[left], row[right])``
+    with the operands in predicate order, through ``itemgetter`` and
+    ``map`` so no Python frame runs per row.
+    """
+    func = operator_function(predicate.op)
+    left = itemgetter(layout.position(predicate.left))
+    if isinstance(predicate.right, Literal):
+        constant = predicate.right.value
+        return lambda rows: map(func, map(left, rows), repeat(constant))
+    right = itemgetter(layout.position(predicate.right))
+    return lambda rows: map(func, map(left, rows), map(right, rows))
+
 
 class FilterOp(Operator):
-    """Apply a conjunction of (local) predicates to child rows."""
+    """Apply a conjunction of (local) predicates to child rows.
+
+    One ``compress`` pass per predicate over the previous pass's
+    survivors: each row meets the predicates in order and stops at the
+    first false one, exactly as a short-circuiting conjunction would.
+    """
 
     def __init__(
         self,
@@ -116,7 +173,7 @@ class FilterOp(Operator):
         super().__init__(child.layout, metrics.register("filter"))
         self._child = child
         self._predicates = tuple(predicates)
-        self._check = compile_conjunction(self._predicates, child.layout)
+        self._masks = [_compile_mask(p, child.layout) for p in self._predicates]
         self._deadline = metrics.deadline
 
     def rows(self) -> List[Row]:
@@ -126,7 +183,9 @@ class FilterOp(Operator):
             self._deadline.tick(len(source), self._stats.label)
         self._stats.rows_in += len(source)
         self._stats.comparisons += len(source) * max(1, len(self._predicates))
-        result = [row for row in source if self._check(row)]
+        result = list(source)
+        for mask in self._masks:
+            result = list(compress(result, mask(result)))
         self._stats.rows_out += len(result)
         return result
 
@@ -178,19 +237,17 @@ class _JoinOp(Operator):
         self._has_residual = condition.has_residual
 
     def _key_functions(self) -> Tuple[Callable[[Row], object], Callable[[Row], object]]:
-        """Left/right key extractors, specialized for single-column keys.
+        """Left/right ``itemgetter`` key extractors.
 
-        The common equi-join has exactly one key pair; extracting the bare
-        value instead of a 1-tuple skips a tuple allocation per row on the
-        hash-build, probe, and sort paths.
+        The common equi-join has exactly one key pair, whose key is the
+        bare value (no 1-tuple allocation per row); several key pairs give
+        tuple keys.  Both run in C on the hash-build, probe and sort paths.
         """
         keys = self._keys
-        if len(keys) == 1:
-            a, b = keys[0]
-            return (lambda row: row[a]), (lambda row: row[b])
-        left_key = lambda row: tuple(row[a] for a, _ in keys)
-        right_key = lambda row: tuple(row[b] for _, b in keys)
-        return left_key, right_key
+        return (
+            itemgetter(*[a for a, _ in keys]),
+            itemgetter(*[b for _, b in keys]),
+        )
 
 
 class NestedLoopJoinOp(_JoinOp):
@@ -223,30 +280,40 @@ class NestedLoopJoinOp(_JoinOp):
         outer = self._left.rows()
         inner = self._right.rows()
         self._stats.rows_in += len(outer) + len(inner)
-        keys = self._keys
-        residual = self._residual
+        residual = self._residual if self._has_residual else None
         deadline = self._deadline
+        label = self._stats.label
         if deadline is not None:
-            deadline.check(self._stats.label)
+            deadline.check(label)
         result: List[Row] = []
-        comparisons = 0
-        # Extract the outer key once per outer row instead of re-extracting
-        # it per inner row; tuple equality compares elementwise, so the
-        # match semantics are those of the old per-pair key comparison, and
-        # a key-less join (pure residual/cross) matches every pair.
-        left_key, right_key = self._key_functions() if keys else (None, None)
+        extend = result.extend
+        # The inner keys are extracted once; each outer row then selects
+        # its matches with one C-level compress over an ``eq`` map whose
+        # operands are (inner key, outer key), the order of the per-pair
+        # comparison this replaces.  A key-less join (pure residual/cross)
+        # matches every pair, and the residual only sees key matches.
+        keys = self._keys
+        if keys:
+            left_key, right_key = self._key_functions()
+            inner_keys = list(map(right_key, inner))
+        ticks = max(1, len(inner))
         for left_row in outer:
             if deadline is not None:
                 # One unit per inner-row comparison this outer row costs.
-                deadline.tick(max(1, len(inner)), self._stats.label)
-            outer_key = left_key(left_row) if left_key is not None else None
-            for right_row in inner:
-                comparisons += 1
-                if (
-                    right_key is None or right_key(right_row) == outer_key
-                ) and residual(left_row, right_row):
-                    result.append(left_row + right_row)
-        self._stats.comparisons += comparisons
+                deadline.tick(ticks, label)
+            matches: Iterable[Row] = inner
+            if keys:
+                matches = compress(
+                    inner, map(eq, inner_keys, repeat(left_key(left_row)))
+                )
+            extend(
+                [
+                    left_row + right_row
+                    for right_row in matches
+                    if residual is None or residual(left_row, right_row)
+                ]
+            )
+        self._stats.comparisons += len(outer) * len(inner)
         self._stats.rows_out += len(result)
         # Block-nested-loops I/O: the inner is re-read once per buffer-full
         # of the outer beyond the first pass that overlaps the outer's read.
@@ -335,47 +402,78 @@ class SortMergeJoinOp(_JoinOp):
         outer = self._left.rows()
         inner = self._right.rows()
         self._stats.rows_in += len(outer) + len(inner)
-        residual = self._residual
+        residual = self._residual if self._has_residual else None
         deadline = self._deadline
+        label = self._stats.label
         if deadline is not None:
-            deadline.check(self._stats.label)
-            deadline.tick(len(outer) + len(inner), self._stats.label)
-        left_key, right_key = self._key_functions()
-        outer_sorted = sorted(outer, key=left_key)
-        inner_sorted = sorted(inner, key=right_key)
+            deadline.check(label)
+            deadline.tick(len(outer) + len(inner), label)
+        outer_sorted, outer_keys = _sorted_side(
+            self._left, outer, [a for a, _ in self._keys]
+        )
+        inner_sorted, inner_keys = _sorted_side(
+            self._right, inner, [b for _, b in self._keys]
+        )
         # Simulated external sort: 2 passes (write runs + read merged).
         left_pages = _pages(len(outer), self._left_row_width, self._page_size)
         right_pages = _pages(len(inner), self._right_row_width, self._page_size)
         self._stats.pages_read += 2.0 * (left_pages + right_pages)
 
+        # Group-at-a-time merge.  Comparisons are charged as a row-at-a-time
+        # merge would make them: one per single-row advance (a bisect jump
+        # over k smaller keys stands for k advances), one per matched key
+        # group, and one per pair of the group's cross product.  The
+        # deadline is ticked the same units, per jump or group.
         result: List[Row] = []
+        extend = result.extend
         comparisons = 0
         i = j = 0
-        n, m = len(outer_sorted), len(inner_sorted)
+        n, m = len(outer_keys), len(inner_keys)
         while i < n and j < m:
-            if deadline is not None:
-                deadline.tick(1, self._stats.label)
-            lk = left_key(outer_sorted[i])
-            rk = right_key(inner_sorted[j])
-            comparisons += 1
+            lk = outer_keys[i]
+            rk = inner_keys[j]
             if lk < rk:
-                i += 1
+                end = bisect_left(outer_keys, rk, i)
+                step = end - i
+                i = end
             elif lk > rk:
-                j += 1
+                end = bisect_left(inner_keys, lk, j)
+                step = end - j
+                j = end
             else:
-                # Gather both equal-key groups and emit their cross product.
-                i_end = i
-                while i_end < n and left_key(outer_sorted[i_end]) == lk:
-                    i_end += 1
-                j_end = j
-                while j_end < m and right_key(inner_sorted[j_end]) == rk:
-                    j_end += 1
-                for left_row in outer_sorted[i:i_end]:
-                    for right_row in inner_sorted[j:j_end]:
-                        comparisons += 1
-                        if residual(left_row, right_row):
-                            result.append(left_row + right_row)
+                i_end = bisect_right(outer_keys, lk, i)
+                j_end = bisect_right(inner_keys, rk, j)
+                group = inner_sorted[j:j_end]
+                extend(
+                    [
+                        left_row + right_row
+                        for left_row in outer_sorted[i:i_end]
+                        for right_row in group
+                        if residual is None or residual(left_row, right_row)
+                    ]
+                )
+                comparisons += (i_end - i) * (j_end - j)
+                step = 1
                 i, j = i_end, j_end
+            comparisons += step
+            if deadline is not None:
+                deadline.tick(step, label)
         self._stats.comparisons += comparisons
         self._stats.rows_out += len(result)
         return result
+
+
+def _sorted_side(
+    child: Operator, rows: Sequence[Row], positions: List[int]
+) -> Tuple[Sequence[Row], List[object]]:
+    """One sort-merge input sorted on its key columns, and its key list.
+
+    A single-key side over a bare scan takes the table's cached sorted
+    run, which equals ``sorted(rows, key=...)`` row for row because the
+    sort is stable; every other side is sorted here.
+    """
+    key = itemgetter(*positions)
+    run = child.sorted_run(positions[0]) if len(positions) == 1 else None
+    if run is None:
+        run = sorted(rows, key=key)
+    return run, list(map(key, run))

@@ -5,16 +5,18 @@ through :meth:`Table.scan`; the statistics collector reads whole columns via
 :meth:`Table.column_values`.  Data is append-only, which is all the paper's
 workloads need — there is no update/delete path to complicate statistics.
 
-Append-only storage buys two cheap invariants the execution layer leans on:
-the row count alone identifies a table's content state, so both the
-columnar transpose (:meth:`Table.columns`) and the content digest
-(:meth:`Table.content_digest`) can be cached and invalidated by comparing
-``row_count`` against the count they were computed at.
+Append-only storage buys a cheap invariant the execution layer leans on:
+the row count alone identifies a table's content state, so the columnar
+transpose (:meth:`Table.columns`), the content digest
+(:meth:`Table.content_digest`), the value indexes and the sorted runs can
+be cached and invalidated by comparing ``row_count`` against the count
+they were computed at.
 """
 
 from __future__ import annotations
 
 import hashlib
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -37,6 +39,7 @@ class Table:
         self._columns_cache: Optional[Tuple[int, Tuple[Tuple[Scalar, ...], ...]]] = None
         self._digest_cache: Optional[Tuple[int, str]] = None
         self._value_index_cache: Dict[str, Tuple[int, Mapping[Scalar, Tuple[int, ...]]]] = {}
+        self._sorted_rows_cache: Dict[str, Tuple[int, Tuple[Row, ...]]] = {}
 
     @property
     def schema(self) -> TableSchema:
@@ -180,6 +183,25 @@ class Table:
         )
         self._value_index_cache[column] = (len(self._rows), frozen)
         return frozen
+
+    def sorted_rows(self, column: str) -> Tuple[Row, ...]:
+        """All rows stably sorted on one column: a cached sorted run.
+
+        Equal to ``tuple(sorted(rows, key=column))`` row for row (the sort
+        is stable, so ties keep insertion order), which lets a sort-merge
+        join over a bare scan of this table skip its per-query sort.
+        Cached per row count like :meth:`value_index` and frozen to a
+        tuple, so the shared run cannot be corrupted by a caller.
+
+        Raises:
+            CatalogError: if the column is not in the schema.
+        """
+        cached = self._sorted_rows_cache.get(column)
+        if cached is not None and cached[0] == len(self._rows):
+            return cached[1]
+        run = tuple(sorted(self._rows, key=itemgetter(self._schema.index_of(column))))
+        self._sorted_rows_cache[column] = (len(self._rows), run)
+        return run
 
     def column_values(self, column: str) -> List[Scalar]:
         """All values of one column, in row order (duplicates preserved)."""
