@@ -189,8 +189,10 @@ def evaluate_workload(
             benchmark over a query that violates the paper's invariants
             fails loudly (:class:`repro.errors.DiagnosticError`) instead of
             reporting numbers from a broken premise.
-        engine: Execution engine for the ground truth (both engines yield
-            identical counts; columnar is faster).
+        engine: Execution engine for the ground truth's reference-plan
+            fallback (cyclic or non-equi joins; every engine yields the
+            same count); acyclic equi-joins are counted exactly without
+            an engine.
         timeout_s: Optional wall-clock budget for the ground-truth
             execution; when spent, the run aborts with
             :class:`~repro.errors.DeadlineExceededError` (the *sweep*
@@ -540,7 +542,8 @@ def evaluate_workloads(  # els: hot=yes
         seed: Base data-generation seed.
         workers: Process count; ``<= 1`` evaluates serially in-process.
         check_invariants: As in :func:`evaluate_workload`.
-        engine: Ground-truth execution engine.
+        engine: Engine for the ground truth's reference-plan fallback,
+            as in :func:`evaluate_workload`.
         timeout_s: Per-payload wall-clock budget for ground truth.
         retry: Attempt/backoff schedule; defaults to
             :data:`~repro.resilience.retry.DEFAULT_RETRY_POLICY`.

@@ -1,32 +1,45 @@
-"""Ground-truth join sizes by actually executing reference plans.
+"""Exact ground-truth join sizes.
 
-The estimators are judged against *executed* result sizes, never against
-each other.  The reference plan built here is deliberately independent of
-the optimizer: scans with all local predicates pushed down, then hash joins
-(nested loops when no equi-key exists) in a size-aware greedy order.  Any
-correct plan yields the same count, so the choice only affects how long the
-ground truth takes to compute.
+The estimators are judged against exact result sizes, never against each
+other.  :func:`true_join_size` counts in two ways, both exact:
 
-Two layers keep that cost down on the hot path:
+* **Frequency propagation** (the first path).  Each equivalence class of
+  equi-join columns (:mod:`repro.core.equivalence`) is one variable.  Each
+  relation, filtered by its local predicates and by the Section 6
+  equality of its own j-equivalent columns, is a count table over its
+  class values.  When the relation/variable hypergraph is alpha-acyclic,
+  ears are eliminated GYO-style: an ear's counts are summed over the
+  variables it shares with a covering relation and multiplied into that
+  relation, and the last table's total is the count.  This is
+  ELS's per-class reasoning carried out over the full frequency vectors
+  instead of ``||R||`` and ``d``, and no joined row is ever built.
+* **Reference-plan execution** (the fallback, for cyclic hypergraphs and
+  non-equi join predicates).  The reference plan built here is
+  deliberately independent of the optimizer: scans with all local
+  predicates pushed down, then hash joins (nested loops when no equi-key
+  exists) in a size-aware greedy order.  Any correct plan yields the same
+  count, so the choice only affects how long the ground truth takes.
 
-* ground truths execute on the **columnar vectorized engine** by default
-  (``engine="columnar"``; the differential test suite proves it
-  count-identical to the row engine), and
-* :func:`true_join_size` consults the **ground-truth cache**
-  (:mod:`repro.analysis.truthcache`) keyed by database fingerprint and
-  canonical query text, so an identical join is never executed twice in a
-  process.
+Both paths give the hash join's equality semantics (the differential
+tests check them against the row engine), and :func:`true_join_size`
+consults the **ground-truth cache** (:mod:`repro.analysis.truthcache`)
+keyed by database fingerprint and canonical query text before either.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from collections import Counter
+from itertools import compress, repeat
+from operator import eq, mul
+from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Tuple
 
+from ..core.equivalence import EquivalenceClasses
 from ..errors import ExecutionError
-from ..execution.executor import ExecutionResult, Executor
+from ..execution.executor import ExecutionResult, Executor, validate_engine
+from ..execution.layout import operator_function
 from ..optimizer.plans import JoinMethod, JoinPlan, PlanNode, ScanPlan
 from ..resilience.deadline import Deadline
-from ..sql.predicates import ComparisonPredicate, Op
+from ..sql.predicates import ColumnRef, ComparisonPredicate, Literal, Op
 from ..sql.query import Query
 from ..storage.database import Database
 from .truthcache import DEFAULT_TRUTH_CACHE, TruthCache
@@ -72,6 +85,20 @@ def _scan(query: Query, database: Database, relation: str) -> ScanPlan:
     )
 
 
+def _check_order(query: Query, order: Optional[Sequence[str]]) -> None:
+    """Raise unless ``order`` is ``None`` or a permutation of the tables.
+
+    Raises:
+        ExecutionError: if ``order`` is not a permutation of the query's
+            tables.
+    """
+    relations = list(query.tables)
+    if order is not None and sorted(order) != sorted(relations):
+        raise ExecutionError(
+            f"order {list(order)} is not a permutation of {relations}"
+        )
+
+
 def build_reference_plan(
     query: Query, database: Database, order: Optional[Sequence[str]] = None
 ) -> PlanNode:
@@ -88,12 +115,8 @@ def build_reference_plan(
         ExecutionError: if ``order`` is not a permutation of the query's
             tables.
     """
-    relations = list(query.tables)
+    _check_order(query, order)
     if order is not None:
-        if sorted(order) != sorted(relations):
-            raise ExecutionError(
-                f"order {list(order)} is not a permutation of {relations}"
-            )
         sequence = list(order)
     else:
         sequence = _greedy_order(query, database)
@@ -138,6 +161,231 @@ def _greedy_order(query: Query, database: Database) -> List[str]:
         order.append(chosen)
         joined = joined | {chosen}
     return order
+
+
+def _compress_all(
+    columns: Mapping[Hashable, Sequence[object]], mask: Sequence[bool]
+) -> Dict[Hashable, Sequence[object]]:
+    """Keep the rows ``mask`` selects in every column."""
+    return {name: list(compress(column, mask)) for name, column in columns.items()}
+
+
+class _CountTable:
+    """One relation's counts over its class variables, kept row-aligned.
+
+    ``columns`` holds, per class variable, the value of every live row
+    (after local predicates and the Section 6 filter); ``weights`` holds
+    each row's multiplicity, ``None`` while every row weighs one.  A
+    row-aligned table absorbs a neighbour's marginal with C-level ``map``
+    passes over its rows, however many distinct keys it has, so the
+    largest relation is never grouped by key in Python.
+    """
+
+    __slots__ = ("columns", "weights", "rows")
+
+    def __init__(self, columns: Dict[int, Sequence[object]], rows: int) -> None:
+        self.columns = columns
+        self.weights: Optional[List[int]] = None
+        self.rows = rows
+
+    def keys(self, shared: Tuple[int, ...]) -> Sequence[Hashable]:
+        """Each row's values of the ``shared`` variables.
+
+        One value per row for a single variable, else a tuple per row in
+        variable order; a marginal and the table absorbing it agree.
+        """
+        if len(shared) == 1:
+            return self.columns[shared[0]]
+        return list(zip(*[self.columns[v] for v in shared]))
+
+    def total(self) -> int:
+        """The table's count: its number of rows, weighted."""
+        return self.rows if self.weights is None else sum(self.weights)
+
+    def keep(self, mask: Sequence[bool]) -> None:
+        """Drop the rows ``mask`` rejects (the table has a variable)."""
+        self.columns = _compress_all(self.columns, mask)
+        if self.weights is not None:
+            self.weights = list(compress(self.weights, mask))
+        self.rows = len(next(iter(self.columns.values())))
+
+    def marginal(
+        self, shared: Tuple[int, ...], parent: "_CountTable"
+    ) -> Mapping[Hashable, int]:
+        """Positive counts summed over every variable outside ``shared``.
+
+        When ``parent`` has fewer rows, rows whose key it lacks are
+        dropped first (a semi-join): one set probe per row is cheaper
+        than counting a key no parent row will look up.
+        """
+        if parent.rows < self.rows:
+            wanted = set(parent.keys(shared))
+            self.keep(list(map(wanted.__contains__, self.keys(shared))))
+        keys = self.keys(shared)
+        if self.weights is None:
+            return Counter(keys)
+        sums: Dict[Hashable, int] = {}
+        for (key, weight), times in Counter(zip(keys, self.weights)).items():
+            sums[key] = sums.get(key, 0) + weight * times
+        return sums
+
+    def absorb(self, shared: Tuple[int, ...], marginal: Mapping[Hashable, int]) -> None:
+        """Multiply every row's weight by the marginal at its values.
+
+        Rows whose key the marginal lacks would weigh zero; they are
+        dropped first, so every weight stays positive and later passes
+        touch only rows that still join.
+        """
+        live = list(map(marginal.__contains__, self.keys(shared)))
+        if not all(live):
+            self.keep(live)
+        factors = map(marginal.__getitem__, self.keys(shared))
+        if self.weights is None:
+            self.weights = list(factors)
+        else:
+            self.weights = list(map(mul, self.weights, factors))
+
+
+def _count_table(
+    query: Query,
+    database: Database,
+    relation: str,
+    variables: Mapping[ColumnRef, int],
+) -> Optional[_CountTable]:
+    """The relation's count table, or ``None`` when a column is unknown.
+
+    Local predicates run one ``compress`` pass each, in query order, with
+    the engines' operator functions, so they keep exactly the rows (and
+    raise exactly where) a filter over the reference plan's scan would.
+    Columns of the relation that share a class must be equal (Section 6);
+    they are compared as 1-tuples, which matches the hash join's key
+    equality (identical objects match even when unequal to themselves).
+    """
+    table = database.table(query.base_table(relation))
+    position = {name: i for i, name in enumerate(table.schema.column_names)}
+    local = [p for p in query.predicates if p.is_local and p.references(relation)]
+    groups: Dict[int, List[str]] = {}
+    for column in sorted(c for c in variables if c.table == relation):
+        groups.setdefault(variables[column], []).append(column.column)
+    needed = {name for names in groups.values() for name in names}
+    needed.update(c.column for p in local for c in p.columns)
+    if not needed <= position.keys():
+        return None
+    stored = table.columns()
+    data = {name: stored[position[name]] for name in needed}
+    for predicate in local:
+        func = operator_function(predicate.op)
+        left = data[predicate.left.column]
+        right = predicate.right
+        if isinstance(right, Literal):
+            data = _compress_all(data, list(map(func, left, repeat(right.value))))
+        else:
+            data = _compress_all(data, list(map(func, left, data[right.column])))
+    for first, *others in groups.values():
+        for other in others:
+            mask = list(map(eq, zip(data[first]), zip(data[other])))
+            data = _compress_all(data, mask)
+    rows = len(next(iter(data.values()))) if data else table.row_count
+    return _CountTable({v: data[names[0]] for v, names in groups.items()}, rows)
+
+
+#: One GYO elimination: the ear, the relation that covers its shared
+#: variables (``None`` when it shares none), and those variables.
+_Step = Tuple[str, Optional[str], Tuple[int, ...]]
+
+
+def _find_ear(
+    remaining: Mapping[str, FrozenSet[int]],
+    rows: Mapping[str, int],
+    root: Optional[str],
+) -> Optional[_Step]:
+    """An ear of the hypergraph other than ``root``, or ``None`` (cyclic).
+
+    Small ears go first and the parent is ``root`` when it covers the
+    ear, else the largest covering relation, so the big relations absorb
+    marginals instead of being counted.
+    """
+    ranked = sorted((rows[name], name) for name in remaining if name != root)
+    parents = sorted((name != root, -rows[name], name) for name in remaining)
+    for _, ear in ranked:
+        others = frozenset().union(*(v for n, v in remaining.items() if n != ear))
+        shared = remaining[ear] & others
+        if not shared:
+            return ear, None, ()
+        for _, _, parent in parents:
+            if parent != ear and shared <= remaining[parent]:
+                return ear, parent, tuple(sorted(shared))
+    return None
+
+
+def _acyclic(variables_of: Mapping[str, FrozenSet[int]]) -> bool:
+    """Whether GYO reduction leaves a single relation (alpha-acyclicity).
+
+    Ears may be removed in any order, so a successful reduction here
+    means every later one, whatever its root and row counts, succeeds.
+    """
+    remaining = dict(variables_of)
+    rows = dict.fromkeys(remaining, 0)
+    while len(remaining) > 1:
+        step = _find_ear(remaining, rows, None)
+        if step is None:
+            return False
+        del remaining[step[0]]
+    return True
+
+
+def _exact_join_size(
+    query: Query, database: Database, deadline: Optional[Deadline]
+) -> Optional[int]:
+    """The join's exact count by frequency propagation, or ``None``.
+
+    ``None`` (the caller falls back to the reference plan) for a non-equi
+    join predicate, a cyclic relation/variable hypergraph, or a relation
+    or column the database does not hold.  The relation with the most
+    rows is the root that absorbs the others.  Counts are Python integers
+    throughout, so they never overflow.
+
+    Raises:
+        DeadlineExceededError: when ``deadline`` is spent; it is checked on
+            entry, once per relation and once per elimination.
+    """
+    if deadline is not None:
+        deadline.check("exact-count")
+    joins = query.join_predicates
+    if not query.tables or any(p.op is not Op.EQ for p in joins):
+        return None
+    if any(query.base_table(r) not in database for r in query.tables):
+        return None
+    classes = EquivalenceClasses.from_predicates(joins).classes()
+    variables = {column: v for v, members in enumerate(classes) for column in members}
+    remaining = {
+        r: frozenset(v for c, v in variables.items() if c.table == r)
+        for r in query.tables
+    }
+    if not _acyclic(remaining):
+        return None
+    tables: Dict[str, _CountTable] = {}
+    for relation in query.tables:
+        if deadline is not None:
+            deadline.check(f"count({relation})")
+        counted = _count_table(query, database, relation, variables)
+        if counted is None:
+            return None
+        tables[relation] = counted
+    root = max((table.rows, name) for name, table in tables.items())[1]
+    scalar = 1
+    while len(remaining) > 1:
+        rows = {name: table.rows for name, table in tables.items()}
+        ear, parent, shared = _find_ear(remaining, rows, root)
+        if deadline is not None:
+            deadline.check(f"eliminate({ear})")
+        del remaining[ear]
+        table = tables.pop(ear)
+        if parent is None:
+            scalar *= table.total()
+        else:
+            tables[parent].absorb(shared, table.marginal(shared, tables[parent]))
+    return scalar * tables[root].total()
 
 
 def execute_query(
@@ -188,22 +436,24 @@ def true_join_size(
 ) -> int:
     """The exact result cardinality of the query's join.
 
+    Counts by frequency propagation over the join's equivalence classes
+    when the query is an alpha-acyclic equi-join, and otherwise (cyclic
+    hypergraph, non-equi join predicate) by executing the reference plan.
+
     Args:
-        query: The query whose join size to execute.
+        query: The query whose join size to count.
         database: Stored tables.
-        order: Explicit join order for the reference plan (does not affect
-            the count, only execution time).
-        engine: Execution engine; the vectorized ``"columnar"`` default is
-            several times faster than ``"row"`` on these COUNT ground
-            truths because the reference plan is all hash joins (on
-            sort-merge or nested-loops plans columnar runs the row
-            operators behind bridges and is slower), and ``"parallel"``
-            adds the morsel-driven tier on top.
+        order: Join order for the reference-plan fallback (does not affect
+            the count, only execution time); validated on either path.
+        engine: Execution engine for the reference-plan fallback only
+            (``"row"``, ``"columnar"`` or ``"parallel"``); validated on
+            either path.  Columnar is faster than row on the fallback's
+            hash joins.
         cache: Ground-truth cache to consult and fill; defaults to the
             process-wide :data:`~repro.analysis.truthcache.DEFAULT_TRUTH_CACHE`.
-            Pass ``None`` to force execution.
-        timeout_s: Optional wall-clock budget for the execution; cache
-            hits never consume it.  When spent, the run aborts with
+            Pass ``None`` to force counting.
+        timeout_s: Optional wall-clock budget for the count; cache hits
+            never consume it.  When spent, the run aborts with
             :class:`~repro.errors.DeadlineExceededError`.
         deadline: An already-running :class:`Deadline` to honor instead
             (wins over ``timeout_s``).
@@ -216,14 +466,16 @@ def true_join_size(
         cached = cache.get(database, query)
         if cached is not None:
             return cached
-    plan = build_reference_plan(query, database, order)
-    executor = Executor(
-        database,
-        engine=engine,
-        deadline=_resolve_deadline(timeout_s, deadline),
-        morsel_workers=morsel_workers,
-    )
-    count = executor.count(plan).count
+    validate_engine(engine)
+    _check_order(query, order)
+    budget = _resolve_deadline(timeout_s, deadline)
+    count = _exact_join_size(query, database, budget)
+    if count is None:
+        plan = build_reference_plan(query, database, order)
+        executor = Executor(
+            database, engine=engine, deadline=budget, morsel_workers=morsel_workers
+        )
+        count = executor.count(plan).count
     if cache is not None:
         cache.put(database, query, count)
     return int(count)

@@ -5,7 +5,10 @@ The generators can realize Section 2's assumptions perfectly — uniform
 (nested domains starting at 1).  Under those conditions the true join size
 IS Equation 3, so Algorithm ELS's estimate must match the executed count
 exactly, for every join order.  Hypothesis drives the statistics; the data
-is generated, loaded, executed, and compared.
+is generated, loaded, counted, and compared.  The truth comes from
+``true_join_size`` (the exact frequency-propagation counter) and is itself
+checked against a row-engine execution of the reference plan, so the
+exactness property never rests on the counter alone.
 
 This is the strongest statement the reproduction can make: not "close on
 average" but "equal, whenever the assumptions hold".
@@ -17,8 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import true_join_size
+from repro.analysis import build_reference_plan, true_join_size
 from repro.core import ELS, JoinSizeEstimator
+from repro.execution import Executor
 from repro.sql import Projection, Query, join_predicate
 from repro.workloads import TableSpec, build_database
 
@@ -33,6 +37,14 @@ def uniform_chain_configs(draw):
         multiplier = draw(st.integers(min_value=1, max_value=15))
         tables.append((distinct * multiplier, distinct))
     return tables
+
+
+def executed_truth(query, database):
+    """The exact count, checked against the row engine's execution."""
+    truth = true_join_size(query, database, cache=None)
+    plan = build_reference_plan(query, database)
+    assert Executor(database, engine="row").count(plan).count == truth
+    return truth
 
 
 def build(config, seed):
@@ -55,7 +67,7 @@ class TestExactnessUnderAssumptions:
     @settings(max_examples=30, deadline=None)
     def test_els_equals_executed_truth(self, config, seed):
         database, query, names = build(config, seed)
-        truth = true_join_size(query, database)
+        truth = executed_truth(query, database)
         estimator = JoinSizeEstimator(query, database.catalog, ELS)
         estimate = estimator.estimate(names)
         assert estimate == pytest.approx(truth, abs=1e-6)
@@ -64,7 +76,7 @@ class TestExactnessUnderAssumptions:
     @settings(max_examples=15, deadline=None)
     def test_exact_for_every_join_order(self, config, seed):
         database, query, names = build(config, seed)
-        truth = true_join_size(query, database)
+        truth = executed_truth(query, database)
         estimator = JoinSizeEstimator(query, database.catalog, ELS)
         for order in itertools.permutations(names):
             assert estimator.estimate(list(order)) == pytest.approx(truth, abs=1e-6)
@@ -80,7 +92,7 @@ class TestExactnessUnderAssumptions:
         estimator = JoinSizeEstimator(query, database.catalog, ELS)
         walk = estimator.estimate_order(names)
         for k in range(2, len(names) + 1):
-            sub_truth = true_join_size(prefix_query(query, names[:k]), database)
+            sub_truth = executed_truth(prefix_query(query, names[:k]), database)
             assert walk.steps[k - 1].rows == pytest.approx(sub_truth, abs=1e-6)
 
 
@@ -105,6 +117,6 @@ class TestExactnessWithEqualityLocals:
             local_predicate(names[0], "c", Op.EQ, value)
         ]
         filtered = Query.build(names, predicates, Projection(count_star=True))
-        truth = true_join_size(filtered, database)
+        truth = executed_truth(filtered, database)
         estimate = JoinSizeEstimator(filtered, database.catalog, ELS).estimate(names)
         assert estimate == pytest.approx(truth, abs=1e-6)

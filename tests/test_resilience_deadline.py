@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.analysis import TruthCache, execute_query, true_join_size
-from repro.errors import DeadlineExceededError
+from repro.errors import DeadlineExceededError, ExecutionError
 from repro.execution.executor import Executor
 from repro.resilience import Deadline
 from repro.workloads import build_database, chain_workload
@@ -154,3 +154,60 @@ class TestExecutorDeadline:
         clock.advance(5.0)  # budget spent between calls
         with pytest.raises(DeadlineExceededError):
             true_join_size(query, database, cache=None, deadline=deadline)
+
+
+class TestExactPathContract:
+    """The frequency-propagation path keeps the executors' contract."""
+
+    def test_chain_takes_the_exact_path(self, chain):
+        from repro.analysis.truth import _exact_join_size
+
+        query, database = chain
+        assert _exact_join_size(query, database, None) is not None
+
+    def test_expired_deadline_raises(self, chain):
+        query, database = chain
+        clock = FakeClock()
+        deadline = Deadline(1.0, clock=clock)
+        clock.advance(5.0)
+        with pytest.raises(DeadlineExceededError) as excinfo:
+            true_join_size(
+                query, database, engine="row", cache=None, deadline=deadline
+            )
+        assert excinfo.value.label == "exact-count"
+
+    def test_deadline_spent_mid_count_raises(self, chain):
+        """A clock that expires after a few reads stops between steps."""
+        query, database = chain
+        reads = []
+
+        def clock():
+            reads.append(None)
+            return 0.0 if len(reads) <= 2 else 10.0
+
+        deadline = Deadline(1.0, clock=clock)
+        with pytest.raises(DeadlineExceededError) as excinfo:
+            true_join_size(
+                query, database, engine="row", cache=None, deadline=deadline
+            )
+        assert excinfo.value.label.startswith("count(")
+
+    def test_bad_order_raises(self, chain):
+        query, database = chain
+        with pytest.raises(ExecutionError):
+            true_join_size(
+                query, database, order=["nope"], engine="row", cache=None
+            )
+
+    def test_cache_hit_bypasses_the_deadline(self, chain):
+        query, database = chain
+        cache = TruthCache()
+        expected = true_join_size(query, database, engine="row", cache=cache)
+        clock = FakeClock()
+        deadline = Deadline(1.0, clock=clock)
+        clock.advance(10.0)
+        answered = true_join_size(
+            query, database, engine="row", cache=cache, deadline=deadline
+        )
+        assert answered == expected
+        assert cache.stats.hits == 1
