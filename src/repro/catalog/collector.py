@@ -5,14 +5,21 @@ table and column cardinalities, min/max bounds for ordered columns, and
 optionally histograms and most-common-values lists.  This plays the role of
 Starburst's statistics utility: estimators only ever see what the collector
 wrote into the catalog, never the data itself.
+
+Each column is counted once into a ``collections.Counter``, and every
+statistic is derived from its distinct values and their counts
+(:func:`_summarize_values`); the sampled collector in
+:mod:`repro.catalog.sampling` summarizes its sample the same way.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Dict, Optional
+import operator
+from collections import Counter
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
 
-from .histogram import build_equi_depth, build_equi_width, build_mcv
+from .histogram import _equi_depth_from_counts, _equi_width_from_counts, _mcv_from_counts
 from .statistics import ColumnStats, TableStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -29,6 +36,55 @@ class HistogramKind(enum.Enum):
     EQUI_DEPTH = "equi-depth"
 
 
+def _summarize_values(
+    values: Sequence, histogram: HistogramKind, buckets: int, mcv_k: int
+) -> Tuple[Counter, ColumnStats]:
+    """Count a column's values once and derive its statistics from the counts.
+
+    Returns the frequency map (value -> row count, in first-seen order) and
+    the column's exact statistics.
+
+    Range statistics (``low``, ``high``, histogram) exist only for a
+    non-empty column whose every value is an ``int`` or ``float`` (not a
+    ``bool``) and none is NaN.  NaN compares false with everything, so it
+    has no place in a range; a column containing one gets no range
+    statistics, like a non-numeric column, whatever its row order.
+
+    Equal values of different types share one key, the first seen.  So on a
+    column mixing ``1`` and ``1.0`` an equi-depth boundary may be ``1``
+    where a sort of all values puts ``1.0``; the two compare equal.
+    """
+    counts = Counter(values)
+    low = high = hist = None
+    if counts and _orderable_numeric(values, counts.keys()):
+        low = min(counts)
+        high = max(counts)
+        if histogram is HistogramKind.EQUI_WIDTH:
+            hist = _equi_width_from_counts(counts, len(values), buckets)
+        elif histogram is HistogramKind.EQUI_DEPTH:
+            hist = _equi_depth_from_counts(counts, len(values), buckets)
+    mcv = _mcv_from_counts(counts, len(values), mcv_k) if mcv_k > 0 and counts else None
+    stats = ColumnStats(distinct=len(counts), low=low, high=high, histogram=hist, mcv=mcv)
+    return counts, stats
+
+
+def _orderable_numeric(values: Sequence, keys: Iterable) -> bool:
+    """Every value a non-bool ``int``/``float``, and no key NaN.
+
+    The type check reads the values, not the keys: ``True`` merges into a
+    key ``1`` seen first, and must still make the column non-numeric.
+    """
+    kinds = set(map(type, values))
+    if not all(
+        issubclass(kind, (int, float)) and not issubclass(kind, bool) for kind in kinds
+    ):
+        return False
+    # Only a float can be NaN, the one value unequal to itself.
+    return not any(issubclass(kind, float) for kind in kinds) or not any(
+        map(operator.ne, keys, keys)
+    )
+
+
 def collect_column_stats(
     table: "Table",
     column: str,
@@ -38,27 +94,19 @@ def collect_column_stats(
 ) -> ColumnStats:
     """Compute statistics for one column of a stored table.
 
+    Reads the table's cached column tuple and summarizes it with
+    :func:`_summarize_values`.
+
     Args:
         table: Source table.
         column: Column name.
-        histogram: Distribution summary to build for numeric columns.
+        histogram: Distribution summary to build for orderable numeric
+            columns.
         buckets: Histogram bucket count.
         mcv_k: Most-common-values list size; 0 disables MCVs.
     """
-    values = table.column_values(column)
-    distinct = len(set(values))
-    numeric = bool(values) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    )
-    low = min(values) if numeric else None
-    high = max(values) if numeric else None
-    hist = None
-    if numeric and histogram is HistogramKind.EQUI_WIDTH:
-        hist = build_equi_width(values, buckets)
-    elif numeric and histogram is HistogramKind.EQUI_DEPTH:
-        hist = build_equi_depth(values, buckets)
-    mcv = build_mcv(values, mcv_k) if mcv_k > 0 and values else None
-    return ColumnStats(distinct=distinct, low=low, high=high, histogram=hist, mcv=mcv)
+    values = table.columns()[table.schema.index_of(column)]
+    return _summarize_values(values, histogram, buckets, mcv_k)[1]
 
 
 def collect_table_stats(

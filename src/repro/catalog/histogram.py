@@ -24,9 +24,11 @@ optimizers (and Starburst's statistics) keep.
 from __future__ import annotations
 
 import bisect
-import math
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import accumulate, compress, repeat
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import CatalogError
 from ..sql.predicates import Op
@@ -270,60 +272,20 @@ def build_equi_width(
     Raises:
         CatalogError: when ``buckets`` is not at least 1.
     """
-    if buckets <= 0:
-        raise CatalogError("histogram needs at least one bucket")
-    if not values:
-        return None
-    low = min(values)
-    high = max(values)
-    total = len(values)
-    if high == low:
-        return EquiWidthHistogram(low, high, (total,), total, (1,))
-    width = (float(high) - float(low)) / buckets
-    counts = [0] * buckets
-    distinct_sets: List[set] = [set() for _ in range(buckets)]
-    for v in values:
-        index = min(int((float(v) - float(low)) / width), buckets - 1)
-        counts[index] += 1
-        distinct_sets[index].add(v)
-    return EquiWidthHistogram(
-        low,
-        high,
-        tuple(counts),
-        total,
-        tuple(len(s) for s in distinct_sets),
-    )
+    return _equi_width_from_counts(Counter(values), len(values), buckets)
 
 
 def build_equi_depth(
     values: Sequence[Number], buckets: int = 10
 ) -> Optional[EquiDepthHistogram]:
-    """Build an equi-depth histogram by sorting and slicing into quantiles.
+    """Build an equi-depth histogram from raw column values.
 
     Returns ``None`` for an empty column.
 
     Raises:
         CatalogError: when ``buckets`` is not at least 1.
     """
-    if buckets <= 0:
-        raise CatalogError("histogram needs at least one bucket")
-    if not values:
-        return None
-    ordered = sorted(values)
-    total = len(ordered)
-    buckets = min(buckets, total)
-    depth = total / buckets
-    boundaries: List[Number] = [ordered[0]]
-    counts: List[int] = []
-    start = 0
-    for i in range(1, buckets + 1):
-        end = total if i == buckets else int(round(i * depth))
-        end = max(end, start)  # guard against rounding collapse
-        counts.append(end - start)
-        boundary = ordered[min(end, total - 1)] if i < buckets else ordered[-1]
-        boundaries.append(boundary)
-        start = end
-    return EquiDepthHistogram(tuple(boundaries), tuple(counts), total)
+    return _equi_depth_from_counts(Counter(values), len(values), buckets)
 
 
 def build_mcv(values: Sequence[Union[int, float, str]], k: int = 10) -> MostCommonValues:
@@ -332,10 +294,96 @@ def build_mcv(values: Sequence[Union[int, float, str]], k: int = 10) -> MostComm
     Raises:
         CatalogError: when ``k`` is not at least 1.
     """
+    return _mcv_from_counts(Counter(values), len(values), k)
+
+
+# The builders below read a column's frequency map (value -> row count, in
+# first-seen order, as ``collections.Counter`` builds it) instead of its
+# values, so ANALYZE counts each column once and derives every summary
+# from the distinct values.  Equal values of different types (``1`` and
+# ``1.0``) share one key, the first seen.
+
+
+def _equi_width_from_counts(
+    counts: Mapping[Number, int], total: int, buckets: int
+) -> Optional[EquiWidthHistogram]:
+    """An equi-width histogram from a frequency map over ``total`` rows.
+
+    Raises:
+        CatalogError: when ``buckets`` is not at least 1.
+    """
+    if buckets <= 0:
+        raise CatalogError("histogram needs at least one bucket")
+    if not total:
+        return None
+    low = min(counts)
+    high = max(counts)
+    if high == low:
+        return EquiWidthHistogram(low, high, (total,), total, (1,))
+    origin = float(low)
+    width = (float(high) - origin) / buckets
+    last = buckets - 1
+    bucket_counts = [0] * buckets
+    bucket_distinct = [0] * buckets
+    for value, count in counts.items():
+        index = min(int((float(value) - origin) / width), last)
+        bucket_counts[index] += count
+        bucket_distinct[index] += 1
+    return EquiWidthHistogram(
+        low, high, tuple(bucket_counts), total, tuple(bucket_distinct)
+    )
+
+
+def _equi_depth_from_counts(
+    counts: Mapping[Number, int], total: int, buckets: int
+) -> Optional[EquiDepthHistogram]:
+    """An equi-depth histogram from a frequency map over ``total`` rows.
+
+    Bucket ends are the same quantile positions a sort of all ``total``
+    values would slice at; the value at sorted position ``p`` is the first
+    sorted distinct value whose cumulative count exceeds ``p``.
+
+    Raises:
+        CatalogError: when ``buckets`` is not at least 1.
+    """
+    if buckets <= 0:
+        raise CatalogError("histogram needs at least one bucket")
+    if not total:
+        return None
+    ordered = sorted(counts)
+    cumulative = list(accumulate(map(counts.__getitem__, ordered)))
+    buckets = min(buckets, total)
+    depth = total / buckets
+    boundaries: List[Number] = [ordered[0]]
+    bucket_counts: List[int] = []
+    start = 0
+    for i in range(1, buckets):
+        end = max(int(round(i * depth)), start)  # guard against rounding collapse
+        bucket_counts.append(end - start)
+        boundaries.append(ordered[bisect.bisect_right(cumulative, min(end, total - 1))])
+        start = end
+    bucket_counts.append(total - start)
+    boundaries.append(ordered[-1])
+    return EquiDepthHistogram(tuple(boundaries), tuple(bucket_counts), total)
+
+
+def _mcv_from_counts(
+    counts: Mapping[Union[int, float, str], int], total: int, k: int
+) -> MostCommonValues:
+    """The ``k`` most frequent values of a frequency map over ``total`` rows.
+
+    Ties in count break on ``str(value)``, then on first-seen order.
+
+    Raises:
+        CatalogError: when ``k`` is not at least 1.
+    """
     if k <= 0:
         raise CatalogError("MCV list needs k >= 1")
-    counts: Dict[Union[int, float, str], int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    top = sorted(counts.items(), key=lambda item: (-item[1], str(item[0])))[:k]
-    return MostCommonValues(dict(top), len(values))
+    items: Iterable[Tuple[Union[int, float, str], int]] = counts.items()
+    if len(counts) > k:
+        # Only values at least as frequent as the k-th largest count can
+        # make the list; sort just those.
+        threshold = sorted(counts.values(), reverse=True)[k - 1]
+        items = compress(items, map(operator.ge, counts.values(), repeat(threshold)))
+    top = sorted(items, key=lambda item: (-item[1], str(item[0])))[:k]
+    return MostCommonValues(dict(top), total)

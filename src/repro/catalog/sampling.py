@@ -23,11 +23,13 @@ catalogs (see ``tests/test_catalog_sampling.py``).
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from dataclasses import replace
+from operator import countOf
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..errors import CatalogError
-from .collector import HistogramKind, collect_column_stats
-from .histogram import build_equi_depth, build_equi_width, build_mcv
+from .collector import HistogramKind, _summarize_values, collect_table_stats
+from .histogram import MostCommonValues
 from .statistics import ColumnStats, TableStats
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -78,35 +80,18 @@ def sample_column_stats(
     mcv_k: int = 0,
 ) -> ColumnStats:
     """Column statistics from an already drawn sample of values."""
-    counts: Dict = {}
-    for value in values:
-        counts[value] = counts.get(value, 0) + 1
-    sample_distinct = len(counts)
-    singletons = sum(1 for c in counts.values() if c == 1)
+    counts, stats = _summarize_values(values, histogram, buckets, mcv_k)
     distinct = haas_stokes_distinct(
-        sample_distinct, singletons, len(values), total_rows
+        len(counts), countOf(counts.values(), 1), len(values), total_rows
     )
-    numeric = bool(values) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    )
-    low = min(values) if numeric else None
-    high = max(values) if numeric else None
-    hist = None
-    if numeric and histogram is HistogramKind.EQUI_WIDTH:
-        hist = build_equi_width(list(values), buckets)
-    elif numeric and histogram is HistogramKind.EQUI_DEPTH:
-        hist = build_equi_depth(list(values), buckets)
     mcv = None
-    if mcv_k > 0 and values:
+    if stats.mcv is not None:
         scale = total_rows / len(values)
-        sampled_mcv = build_mcv(list(values), mcv_k)
-        from .histogram import MostCommonValues
-
         mcv = MostCommonValues(
-            {v: max(1, round(c * scale)) for v, c in sampled_mcv.entries.items()},
+            {v: max(1, round(c * scale)) for v, c in stats.mcv.entries.items()},
             total_rows,
         )
-    return ColumnStats(distinct=distinct, low=low, high=high, histogram=hist, mcv=mcv)
+    return replace(stats, distinct=distinct, mcv=mcv)
 
 
 def sample_table_stats(
@@ -129,23 +114,17 @@ def sample_table_stats(
     """
     if not 0.0 < sample_fraction <= 1.0:
         raise CatalogError(f"sample fraction must be in (0, 1], got {sample_fraction}")
-    names = columns if columns is not None else list(table.schema.column_names)
     if sample_fraction == 1.0:
-        stats = {
-            name: collect_column_stats(table, name, histogram, buckets, mcv_k)
-            for name in names
-        }
-        return TableStats(row_count=table.row_count, columns=stats)
-
-    rows = table.rows()
-    sample_size = max(1, round(len(rows) * sample_fraction)) if rows else 0
-    rng = random.Random(seed)
-    sampled = rng.sample(rows, sample_size) if sample_size else []
+        return collect_table_stats(table, histogram, buckets, mcv_k, columns)
+    names = columns if columns is not None else list(table.schema.column_names)
+    total = table.row_count
+    sample_size = max(1, round(total * sample_fraction)) if total else 0
+    # ``Random.sample`` picks positions from the population's length alone,
+    # so sampling positions selects the same rows as sampling the rows.
+    picked = random.Random(seed).sample(range(total), sample_size)
+    stored = table.columns()
     stats = {}
     for name in names:
-        index = table.schema.index_of(name)
-        values = [row[index] for row in sampled]
-        stats[name] = sample_column_stats(
-            values, table.row_count, histogram, buckets, mcv_k
-        )
+        values = list(map(stored[table.schema.index_of(name)].__getitem__, picked))
+        stats[name] = sample_column_stats(values, total, histogram, buckets, mcv_k)
     return TableStats(row_count=table.row_count, columns=stats)

@@ -1,8 +1,9 @@
 """In-memory row-store table.
 
 Rows are plain tuples laid out in schema order.  The executor scans tables
-through :meth:`Table.scan`; the statistics collector reads whole columns via
-:meth:`Table.column_values`.  Data is append-only, which is all the paper's
+through :meth:`Table.scan`; the statistics collector, the ground truth and
+the content digest read whole columns through the cached column tuples of
+:meth:`Table.columns`.  Data is append-only, which is all the paper's
 workloads need — there is no update/delete path to complicate statistics.
 
 Append-only storage buys a cheap invariant the execution layer leans on:
@@ -10,7 +11,8 @@ the row count alone identifies a table's content state, so the columnar
 transpose (:meth:`Table.columns`), the content digest
 (:meth:`Table.content_digest`), the value indexes and the sorted runs can
 be cached and invalidated by comparing ``row_count`` against the count
-they were computed at.
+they were computed at.  A table loaded by :meth:`Table.from_columns` starts
+with the columns it was given as its cached transpose.
 """
 
 from __future__ import annotations
@@ -104,9 +106,9 @@ class Table:
         if len(set(lengths.values())) > 1:
             raise StorageError(f"column lengths differ in {schema.name!r}: {lengths}")
         table = cls(schema)
-        ordered = [columns[name] for name in schema.column_names]
-        count = lengths[schema.column_names[0]]
-        table._rows = list(zip(*ordered)) if count else []
+        ordered = tuple(tuple(columns[name]) for name in schema.column_names)
+        table._rows = list(zip(*ordered))
+        table._columns_cache = (len(table._rows), ordered)
         return table
 
     def scan(self) -> Iterator[Row]:
@@ -120,10 +122,11 @@ class Table:
     def columns(self) -> Tuple[Tuple[Scalar, ...], ...]:
         """All columns as parallel value tuples, in schema order.
 
-        The transpose is computed once and cached; because storage is
-        append-only, the cache is valid exactly while ``row_count`` is
-        unchanged.  The columns are frozen to tuples so the cached
-        transpose cannot be corrupted through the returned reference.
+        The transpose is computed once and cached (a table built by
+        :meth:`from_columns` starts with its given columns); because
+        storage is append-only, the cache is valid exactly while
+        ``row_count`` is unchanged.  The columns are frozen to tuples so the
+        cached transpose cannot be corrupted through the returned reference.
         """
         cached = self._columns_cache
         if cached is not None and cached[0] == len(self._rows):
@@ -142,7 +145,11 @@ class Table:
         <repro.storage.database.Database.fingerprint>` for ground-truth
         caching.  Cached per row count (valid under append-only storage);
         equal digests imply equal name, column names/types, and row
-        sequences.
+        sequences.  The rows are hashed column by column, as ``repr`` of
+        each cached column tuple: every column has ``row_count`` values and
+        its ``repr`` is self-delimiting, so the digest still covers the row
+        order and each value's type (``1``, ``1.0``, ``True`` and ``"1"``
+        differ).
         """
         cached = self._digest_cache
         if cached is not None and cached[0] == len(self._rows):
@@ -151,8 +158,8 @@ class Table:
         hasher.update(self.name.encode())
         for column in self._schema.columns:
             hasher.update(f"|{column.name}:{column.type.value}".encode())
-        for row in self._rows:
-            hasher.update(repr(row).encode())
+        for values in self.columns():
+            hasher.update(repr(values).encode())
         digest = hasher.hexdigest()
         self._digest_cache = (len(self._rows), digest)
         return digest
@@ -206,12 +213,12 @@ class Table:
     def column_values(self, column: str) -> List[Scalar]:
         """All values of one column, in row order (duplicates preserved)."""
         index = self._schema.index_of(column)
-        return [row[index] for row in self._rows]
+        return list(self.columns()[index])
 
     def distinct_count(self, column: str) -> int:
         """Exact number of distinct values in a column."""
         index = self._schema.index_of(column)
-        return len({row[index] for row in self._rows})
+        return len(set(self.columns()[index]))
 
     def _validate(self, row: Row) -> None:
         if len(row) != len(self._schema.columns):

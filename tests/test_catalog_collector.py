@@ -1,11 +1,14 @@
 """ANALYZE collector tests: exact statistics from stored data."""
 
+import math
+import random
+
 import pytest
 
 from repro.catalog import HistogramKind, TableSchema, collect_column_stats, collect_table_stats
 from repro.catalog.histogram import EquiDepthHistogram, EquiWidthHistogram
 from repro.catalog.schema import ColumnDef, ColumnType
-from repro.storage import Table
+from repro.storage import Database, Table
 
 
 def make_table(values, name="R", column="x"):
@@ -83,3 +86,32 @@ class TestTableCollection:
         stats = collect_table_stats(table)
         assert stats.column("x").distinct == 1
         assert stats.row_count == 50
+
+
+class TestNaNColumns:
+    """A column containing NaN gets no range statistics, in any row order."""
+
+    ROWS = [(float("nan"), 3), (1.5, 1), (math.nan, 2), (-2.0, 3), (math.nan, 1),
+            (7.25, 2), (float("nan"), 3), (1.5, 1), (0.0, 2), (3.0, 3)]
+
+    def analyzed(self, rows, histogram):
+        database = Database()
+        schema = TableSchema.of("R", ColumnDef("f", ColumnType.FLOAT), "k")
+        database.load_rows(schema, rows)
+        database.analyze(histogram=histogram, mcv_k=3)
+        return database.catalog.stats("R")
+
+    @pytest.mark.parametrize("histogram", list(HistogramKind))
+    def test_no_range_statistics(self, histogram):
+        stats = self.analyzed(self.ROWS, histogram).column("f")
+        assert (stats.low, stats.high, stats.histogram) == (None, None, None)
+        assert stats.distinct == 8  # each NaN object is its own value
+        assert stats.mcv is not None and stats.mcv.entries[1.5] == 2
+
+    @pytest.mark.parametrize("histogram", list(HistogramKind))
+    def test_shuffled_rows_give_the_same_catalog(self, histogram):
+        expected = repr(self.analyzed(self.ROWS, histogram))
+        for seed in range(20):
+            rows = list(self.ROWS)
+            random.Random(seed).shuffle(rows)
+            assert repr(self.analyzed(rows, histogram)) == expected

@@ -115,6 +115,60 @@ class TestTableAccessors:
             table.append((42,))
 
 
+class TestContentDigest:
+    """The digest covers name, schema, row order and each value's type."""
+
+    ROWS = [(1, "a"), (2, "b"), (2, "c")]
+
+    def schema(self, second="y"):
+        return TableSchema.of("R", "x", ColumnDef(second, ColumnType.STR))
+
+    def digest_of(self, xs, second="y"):
+        columns = {"x": xs, second: ["a", "b", "c"][: len(xs)]}
+        return Table.from_columns(self.schema(second), columns).content_digest()
+
+    def test_append_and_from_columns_agree(self):
+        appended = Table(self.schema())
+        for row in self.ROWS:
+            appended.append(row)
+        loaded = Table.from_columns(self.schema(), {"x": [1, 2, 2], "y": ["a", "b", "c"]})
+        assert appended.content_digest() == loaded.content_digest()
+        databases = [Database(), Database()]
+        databases[0].load_rows(self.schema(), self.ROWS)
+        databases[1].load_columns(self.schema(), {"x": [1, 2, 2], "y": ["a", "b", "c"]})
+        assert databases[0].fingerprint() == databases[1].fingerprint()
+
+    def test_row_swap_changes_digest(self):
+        table = Table.from_columns(self.schema(), {"x": [1, 2, 2], "y": ["a", "b", "c"]})
+        swapped = Table.from_columns(self.schema(), {"x": [2, 1, 2], "y": ["b", "a", "c"]})
+        assert table.content_digest() != swapped.content_digest()
+
+    def test_value_type_changes_digest(self):
+        digests = {self.digest_of([1, 2, value]) for value in (1, 1.0, True, "1")}
+        assert len(digests) == 4
+
+    def test_column_rename_changes_digest(self):
+        assert self.digest_of([1, 2, 2]) != self.digest_of([1, 2, 2], second="z")
+
+    def test_append_rebuilds_columns_digest_and_statistics(self):
+        database = Database()
+        table = database.load_columns(self.schema(), {"x": [1, 2, 2], "y": ["a", "b", "c"]})
+        database.analyze()
+        before = (table.columns(), table.content_digest(), database.catalog.stats("R"))
+        table.append((3, "d"))
+        database.analyze()
+        assert table.columns() == ((1, 2, 2, 3), ("a", "b", "c", "d"))
+        assert table.content_digest() != before[1]
+        rebuilt = Table.from_columns(
+            self.schema(), {"x": [1, 2, 2, 3], "y": ["a", "b", "c", "d"]}
+        )
+        assert table.content_digest() == rebuilt.content_digest()
+        stats = database.catalog.stats("R")
+        assert (before[2].row_count, stats.row_count) == (3, 4)
+        assert (stats.column("x").distinct, stats.column("x").high) == (3, 3)
+        assert stats.column("y").distinct == 4
+
+
 class TestDatabase:
     def test_create_and_get(self):
         db = Database()
