@@ -153,6 +153,10 @@ class Executor:
         BY (hash aggregation).  For aggregate projections, ``count`` is
         the number of *input* rows that reached the aggregate — the join's
         cardinality, which is what estimation experiments compare against.
+        On the row engine a ``COUNT(*)`` asks the root operator for
+        :meth:`~repro.execution.operators.Operator.count`: a root join
+        counts its matches without building their tuples, with the same
+        operator statistics and deadline ticks as materializing them.
         """
         metrics = ExecutionMetrics(deadline=self._deadline)
         started = time.perf_counter()
@@ -169,15 +173,17 @@ class Executor:
             return ExecutionResult(
                 rows=rows, columns=root.layout.columns, count=count, metrics=metrics
             )
-        if projection is not None and projection.columns:
-            root = ProjectOp(root, projection.columns, metrics)
-        # Operators may hand back their frozen materialization; the result
-        # contract is a list the caller owns.
-        rows = list(root.rows())
-        metrics.wall_seconds = time.perf_counter() - started
-        count = len(rows)
         if projection is not None and projection.count_star:
-            rows = []
+            rows: List[Row] = []
+            count = root.count()
+        else:
+            if projection is not None and projection.columns:
+                root = ProjectOp(root, projection.columns, metrics)
+            # Operators may hand back their frozen materialization; the
+            # result contract is a list the caller owns.
+            rows = list(root.rows())
+            count = len(rows)
+        metrics.wall_seconds = time.perf_counter() - started
         return ExecutionResult(
             rows=rows, columns=root.layout.columns, count=count, metrics=metrics
         )
@@ -194,7 +200,12 @@ class Executor:
         return HashAggregateOp(root, projection.group_by, specs, metrics)
 
     def count(self, plan: PlanNode) -> ExecutionResult:
-        """Run a plan as ``SELECT COUNT(*)``."""
+        """Run a plan as ``SELECT COUNT(*)``: ``rows`` is empty.
+
+        Every engine counts without materializing the root's output (the
+        row engine through ``Operator.count``, the columnar engines from
+        the root block's row count).
+        """
         return self.execute(plan, Projection(count_star=True))
 
     # -- columnar engine -------------------------------------------------

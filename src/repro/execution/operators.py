@@ -3,12 +3,17 @@
 The operator set mirrors the repertoire the paper's experiment enabled:
 Nested Loops and Sort Merge joins (a hash join is included as a modern
 extension, off by default in the optimizer).  Operators follow a simple
-materializing iterator model — each ``rows()`` call produces the full
-output — which is all the benchmark harness needs and keeps row-at-a-time
-Python overhead low.  The per-row work of filters, nested loops and
-sort-merge runs in C (``itemgetter`` keys, ``compress`` over comparison
-maps, ``bisect`` jumps over sorted key lists, one comprehension per
-matched group); the Python loops are per outer row or per key group.
+materializing iterator model — ``rows()`` produces the full output —
+which is all the benchmark harness needs and keeps row-at-a-time Python
+overhead low.  The root of a ``COUNT(*)`` plan is asked for ``count()``
+instead: a join counts its matches from the same matching loop that
+``rows()`` builds tuples from (group sizes for sort-merge, match-list
+lengths for nested loops and hash), so the root's output tuples are never
+built; its inputs are still materialized with ``rows()``.  The per-row
+work of filters, nested loops and sort-merge runs in C (``itemgetter``
+keys, ``compress`` over comparison maps, ``bisect`` jumps over sorted key
+lists, one comprehension per matched group); the Python loops are per
+outer row or per key group.
 
 Every operator updates an :class:`~repro.execution.metrics.OperatorStats`:
 rows in/out, key or predicate comparisons, and simulated page I/O (scans
@@ -51,7 +56,7 @@ def _pages(rows: int, row_width: int, page_size: int) -> float:
 
 
 class Operator:
-    """Base class: a layout plus a materializing ``rows()`` method."""
+    """Base class: a layout, a materializing ``rows()`` and its ``count()``."""
 
     def __init__(self, layout: Layout, stats: OperatorStats) -> None:
         self._layout = layout
@@ -68,11 +73,21 @@ class Operator:
     def rows(self) -> Sequence[Row]:
         raise NotImplementedError
 
-    def sorted_run(self, position: int) -> Optional[Sequence[Row]]:
-        """This operator's rows stably sorted on one column, if precomputed.
+    def count(self) -> int:
+        """``len(self.rows())``, charging the same statistics and ticks.
 
-        Only a bare table scan has one (:meth:`TableScanOp.sorted_run`);
-        every other operator returns ``None`` and its consumer sorts.
+        Joins count their matches without building output tuples.
+        """
+        return len(self.rows())
+
+    def sorted_run(
+        self, position: int
+    ) -> Optional[Tuple[Sequence[Row], Sequence[object]]]:
+        """This operator's rows stably sorted on one column, and their keys.
+
+        Only a bare table scan has a precomputed run
+        (:meth:`TableScanOp.sorted_run`); every other operator returns
+        ``None`` and its consumer sorts.
         """
         return None
 
@@ -123,8 +138,10 @@ class TableScanOp(Operator):
         self._materialized = result
         return result
 
-    def sorted_run(self, position: int) -> Optional[Sequence[Row]]:
-        """The table's cached sorted run on one column, or ``None``.
+    def sorted_run(
+        self, position: int
+    ) -> Optional[Tuple[Sequence[Row], Sequence[object]]]:
+        """The table's cached sorted run on one column and its keys, or ``None``.
 
         A scan is always *bare* — local predicates run in a
         :class:`FilterOp` above it — so its rows are the table's rows in
@@ -135,7 +152,8 @@ class TableScanOp(Operator):
         table, scanned = self._table, self._materialized
         if table is None or scanned is None or len(scanned) != table.row_count:
             return None
-        return table.sorted_rows(self._column_names[position])
+        column = self._column_names[position]
+        return table.sorted_rows(column), table.sorted_keys(column)
 
 
 def _compile_mask(
@@ -213,7 +231,12 @@ class ProjectOp(Operator):
 
 
 class _JoinOp(Operator):
-    """Shared setup for the three join methods."""
+    """Shared setup for the three join methods.
+
+    Nested loops and hash joins share ``rows()`` and ``count()`` over
+    their matching loop ``_matches()``; sort-merge has its own pair over
+    its equal-key groups.
+    """
 
     def __init__(
         self,
@@ -235,6 +258,44 @@ class _JoinOp(Operator):
         self._keys = condition.keys
         self._residual = condition.residual
         self._has_residual = condition.has_residual
+
+    def rows(self) -> List[Row]:
+        residual = self._residual if self._has_residual else None
+        result: List[Row] = []
+        extend = result.extend
+        for left_row, matches in self._matches():
+            extend(
+                [
+                    left_row + right_row
+                    for right_row in matches
+                    if residual is None or residual(left_row, right_row)
+                ]
+            )
+        self._stats.rows_out += len(result)
+        return result
+
+    def count(self) -> int:
+        total = 0
+        if self._has_residual:
+            residual = self._residual
+            for left_row, matches in self._matches():
+                total += sum(1 for right_row in matches if residual(left_row, right_row))
+        else:
+            for _, matches in self._matches():
+                total += len(matches)
+        self._stats.rows_out += total
+        return total
+
+    def _matches(self) -> Iterator[Tuple[Row, Sequence[Row]]]:
+        """The matching loop: outer rows in order, each with the inner rows
+        its equi-keys match.
+
+        ``rows()`` builds the output tuples from it and ``count()`` adds
+        up the match lists; the residual is left to them, so a pair is
+        tested one by one only when there is one.  The loop charges the
+        inputs, comparisons, pages and deadline ticks, the same for both.
+        """
+        raise NotImplementedError
 
     def _key_functions(self) -> Tuple[Callable[[Row], object], Callable[[Row], object]]:
         """Left/right ``itemgetter`` key extractors.
@@ -276,22 +337,20 @@ class NestedLoopJoinOp(_JoinOp):
         self._page_size = page_size
         self._buffer_pages = buffer_pages
 
-    def rows(self) -> List[Row]:
+    def _matches(self) -> Iterator[Tuple[Row, Sequence[Row]]]:
+        # Every outer row, with its key matches (every inner row if key-less).
         outer = self._left.rows()
         inner = self._right.rows()
         self._stats.rows_in += len(outer) + len(inner)
-        residual = self._residual if self._has_residual else None
         deadline = self._deadline
         label = self._stats.label
         if deadline is not None:
             deadline.check(label)
-        result: List[Row] = []
-        extend = result.extend
         # The inner keys are extracted once; each outer row then selects
         # its matches with one C-level compress over an ``eq`` map whose
         # operands are (inner key, outer key), the order of the per-pair
-        # comparison this replaces.  A key-less join (pure residual/cross)
-        # matches every pair, and the residual only sees key matches.
+        # comparison this replaces, kept by the truth of each ``eq``.  A
+        # key-less join (pure residual/cross) matches every inner row.
         keys = self._keys
         if keys:
             left_key, right_key = self._key_functions()
@@ -301,20 +360,13 @@ class NestedLoopJoinOp(_JoinOp):
             if deadline is not None:
                 # One unit per inner-row comparison this outer row costs.
                 deadline.tick(ticks, label)
-            matches: Iterable[Row] = inner
             if keys:
-                matches = compress(
-                    inner, map(eq, inner_keys, repeat(left_key(left_row)))
+                yield left_row, list(
+                    compress(inner, map(eq, inner_keys, repeat(left_key(left_row))))
                 )
-            extend(
-                [
-                    left_row + right_row
-                    for right_row in matches
-                    if residual is None or residual(left_row, right_row)
-                ]
-            )
+            else:
+                yield left_row, inner
         self._stats.comparisons += len(outer) * len(inner)
-        self._stats.rows_out += len(result)
         # Block-nested-loops I/O: the inner is re-read once per buffer-full
         # of the outer beyond the first pass that overlaps the outer's read.
         inner_pages = _pages(len(inner), self._inner_row_width, self._page_size)
@@ -322,7 +374,6 @@ class NestedLoopJoinOp(_JoinOp):
         if inner_pages > self._buffer_pages and outer:
             passes = math.ceil(outer_pages / max(1, self._buffer_pages - 1))
             self._stats.pages_read += inner_pages * max(0, passes - 1)
-        return result
 
 
 class HashJoinOp(_JoinOp):
@@ -344,33 +395,31 @@ class HashJoinOp(_JoinOp):
         if not self._keys:
             raise ExecutionError("hash join requires at least one equality key")
 
-    def rows(self) -> List[Row]:
+    def _matches(self) -> Iterator[Tuple[Row, Sequence[Row]]]:
+        # Outer rows with a bucket only.  One comparison per probe and one
+        # per bucket row, as a per-pair probe loop charges them.
         outer = self._left.rows()
         inner = self._right.rows()
         self._stats.rows_in += len(outer) + len(inner)
         left_key, right_key = self._key_functions()
-        residual = self._residual
         deadline = self._deadline
+        label = self._stats.label
         if deadline is not None:
-            deadline.check(self._stats.label)
-            deadline.tick(len(inner), self._stats.label)
+            deadline.check(label)
+            deadline.tick(len(inner), label)
         table: dict = {}
         for right_row in inner:
             table.setdefault(right_key(right_row), []).append(right_row)
-        result: List[Row] = []
         comparisons = 0
         for left_row in outer:
             if deadline is not None:
-                deadline.tick(1, self._stats.label)
-            key = left_key(left_row)
+                deadline.tick(1, label)
+            bucket = table.get(left_key(left_row))
             comparisons += 1
-            for right_row in table.get(key, ()):
-                comparisons += 1
-                if residual(left_row, right_row):
-                    result.append(left_row + right_row)
+            if bucket is not None:
+                comparisons += len(bucket)
+                yield left_row, bucket
         self._stats.comparisons += comparisons
-        self._stats.rows_out += len(result)
-        return result
 
 
 class SortMergeJoinOp(_JoinOp):
@@ -399,15 +448,61 @@ class SortMergeJoinOp(_JoinOp):
         self._page_size = page_size
 
     def rows(self) -> List[Row]:
+        residual = self._residual if self._has_residual else None
+        outer, inner, groups = self._merge()
+        result: List[Row] = []
+        extend = result.extend
+        for i, i_end, j, j_end in groups:
+            group = inner[j:j_end]
+            extend(
+                [
+                    left_row + right_row
+                    for left_row in outer[i:i_end]
+                    for right_row in group
+                    if residual is None or residual(left_row, right_row)
+                ]
+            )
+        self._stats.rows_out += len(result)
+        return result
+
+    def count(self) -> int:
+        outer, inner, groups = self._merge()
+        total = 0
+        if self._has_residual:
+            residual = self._residual
+            for i, i_end, j, j_end in groups:
+                group = inner[j:j_end]
+                total += sum(
+                    1
+                    for left_row in outer[i:i_end]
+                    for right_row in group
+                    if residual(left_row, right_row)
+                )
+        else:
+            # Index arithmetic only: slicing a group would touch (incref)
+            # every row of the run, scattered across memory.
+            for i, i_end, j, j_end in groups:
+                total += (i_end - i) * (j_end - j)
+        self._stats.rows_out += total
+        return total
+
+    def _merge(
+        self,
+    ) -> Tuple[Sequence[Row], Sequence[Row], Iterator[Tuple[int, int, int, int]]]:
+        """Both sides sorted, and their equal-key groups as index ranges.
+
+        The groups ``(i, i_end, j, j_end)`` pair ``outer[i:i_end]`` with
+        ``inner[j:j_end]`` in merge order; the residual is left to the
+        consumer.  The inputs, deadline and sort I/O are charged here,
+        the merge's comparisons and ticks as the groups are drawn.
+        """
         outer = self._left.rows()
         inner = self._right.rows()
         self._stats.rows_in += len(outer) + len(inner)
-        residual = self._residual if self._has_residual else None
         deadline = self._deadline
-        label = self._stats.label
         if deadline is not None:
-            deadline.check(label)
-            deadline.tick(len(outer) + len(inner), label)
+            deadline.check(self._stats.label)
+            deadline.tick(len(outer) + len(inner), self._stats.label)
         outer_sorted, outer_keys = _sorted_side(
             self._left, outer, [a for a, _ in self._keys]
         )
@@ -418,14 +513,18 @@ class SortMergeJoinOp(_JoinOp):
         left_pages = _pages(len(outer), self._left_row_width, self._page_size)
         right_pages = _pages(len(inner), self._right_row_width, self._page_size)
         self._stats.pages_read += 2.0 * (left_pages + right_pages)
+        return outer_sorted, inner_sorted, self._groups(outer_keys, inner_keys)
 
+    def _groups(
+        self, outer_keys: Sequence[object], inner_keys: Sequence[object]
+    ) -> Iterator[Tuple[int, int, int, int]]:
         # Group-at-a-time merge.  Comparisons are charged as a row-at-a-time
         # merge would make them: one per single-row advance (a bisect jump
         # over k smaller keys stands for k advances), one per matched key
         # group, and one per pair of the group's cross product.  The
         # deadline is ticked the same units, per jump or group.
-        result: List[Row] = []
-        extend = result.extend
+        deadline = self._deadline
+        label = self._stats.label
         comparisons = 0
         i = j = 0
         n, m = len(outer_keys), len(inner_keys)
@@ -443,15 +542,7 @@ class SortMergeJoinOp(_JoinOp):
             else:
                 i_end = bisect_right(outer_keys, lk, i)
                 j_end = bisect_right(inner_keys, rk, j)
-                group = inner_sorted[j:j_end]
-                extend(
-                    [
-                        left_row + right_row
-                        for left_row in outer_sorted[i:i_end]
-                        for right_row in group
-                        if residual is None or residual(left_row, right_row)
-                    ]
-                )
+                yield i, i_end, j, j_end
                 comparisons += (i_end - i) * (j_end - j)
                 step = 1
                 i, j = i_end, j_end
@@ -459,21 +550,21 @@ class SortMergeJoinOp(_JoinOp):
             if deadline is not None:
                 deadline.tick(step, label)
         self._stats.comparisons += comparisons
-        self._stats.rows_out += len(result)
-        return result
 
 
 def _sorted_side(
     child: Operator, rows: Sequence[Row], positions: List[int]
-) -> Tuple[Sequence[Row], List[object]]:
+) -> Tuple[Sequence[Row], Sequence[object]]:
     """One sort-merge input sorted on its key columns, and its key list.
 
     A single-key side over a bare scan takes the table's cached sorted
-    run, which equals ``sorted(rows, key=...)`` row for row because the
-    sort is stable; every other side is sorted here.
+    run and key list; the run equals ``sorted(rows, key=...)`` row for
+    row because the sort is stable.  Every other side is sorted here.
     """
+    if len(positions) == 1:
+        cached = child.sorted_run(positions[0])
+        if cached is not None:
+            return cached
     key = itemgetter(*positions)
-    run = child.sorted_run(positions[0]) if len(positions) == 1 else None
-    if run is None:
-        run = sorted(rows, key=key)
+    run = sorted(rows, key=key)
     return run, list(map(key, run))

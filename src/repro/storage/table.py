@@ -12,7 +12,11 @@ transpose (:meth:`Table.columns`), the content digest
 (:meth:`Table.content_digest`), the value indexes and the sorted runs can
 be cached and invalidated by comparing ``row_count`` against the count
 they were computed at.  A table loaded by :meth:`Table.from_columns` starts
-with the columns it was given as its cached transpose.
+with the columns it was given as its cached transpose and no row tuples:
+the rows are zipped from the columns the first time a row reader
+(:meth:`Table.scan`, :meth:`Table.rows`, :meth:`Table.sorted_rows`,
+:meth:`Table.value_index`, :meth:`Table.append`) asks for them, so a
+table only ever read by column never holds its values twice.
 """
 
 from __future__ import annotations
@@ -36,12 +40,15 @@ class Table:
 
     def __init__(self, schema: TableSchema) -> None:
         self._schema = schema
-        self._rows: List[Row] = []
+        # ``None`` until a row reader zips a loaded table's columns.
+        self._rows: Optional[List[Row]] = []
         # Caches invalidated by row-count comparison (append-only storage).
         self._columns_cache: Optional[Tuple[int, Tuple[Tuple[Scalar, ...], ...]]] = None
         self._digest_cache: Optional[Tuple[int, str]] = None
         self._value_index_cache: Dict[str, Tuple[int, Mapping[Scalar, Tuple[int, ...]]]] = {}
-        self._sorted_rows_cache: Dict[str, Tuple[int, Tuple[Row, ...]]] = {}
+        self._sorted_run_cache: Dict[
+            str, Tuple[int, Tuple[Tuple[Row, ...], Tuple[Scalar, ...]]]
+        ] = {}
 
     @property
     def schema(self) -> TableSchema:
@@ -53,10 +60,19 @@ class Table:
 
     @property
     def row_count(self) -> int:
+        if self._rows is None:
+            # Not zipped yet: the loaded columns are the whole content.
+            return self._columns_cache[0]
         return len(self._rows)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self.row_count
+
+    def _row_list(self) -> List[Row]:
+        """The stored rows, zipped from the loaded columns on first use."""
+        if self._rows is None:
+            self._rows = list(zip(*self._columns_cache[1]))
+        return self._rows
 
     def append(self, row: Union[Row, Sequence[Scalar], Mapping[str, Scalar]]) -> None:
         """Append one row, given as a tuple in schema order or as a mapping.
@@ -74,7 +90,7 @@ class Table:
         else:
             row = tuple(row)
         self._validate(row)
-        self._rows.append(row)
+        self._row_list().append(row)
 
     def extend(
         self, rows: Iterable[Union[Row, Sequence[Scalar]]], validate: bool = True
@@ -88,13 +104,16 @@ class Table:
             for row in rows:
                 self.append(row)
         else:
-            self._rows.extend(tuple(row) for row in rows)
+            self._row_list().extend(tuple(row) for row in rows)
 
     @classmethod
     def from_columns(
         cls, schema: TableSchema, columns: Mapping[str, Sequence[Scalar]]
     ) -> "Table":
         """Build a table from parallel column value sequences.
+
+        The columns are frozen to tuples and kept as the cached transpose;
+        row tuples are zipped from them only when a row reader first asks.
 
         Raises:
             StorageError: when a schema column is missing or lengths differ.
@@ -107,17 +126,17 @@ class Table:
             raise StorageError(f"column lengths differ in {schema.name!r}: {lengths}")
         table = cls(schema)
         ordered = tuple(tuple(columns[name]) for name in schema.column_names)
-        table._rows = list(zip(*ordered))
-        table._columns_cache = (len(table._rows), ordered)
+        table._rows = None
+        table._columns_cache = (len(ordered[0]), ordered)
         return table
 
     def scan(self) -> Iterator[Row]:
         """Iterate over all rows in insertion order."""
-        return iter(self._rows)
+        return iter(self._row_list())
 
     def rows(self) -> List[Row]:
         """A copy of all rows (callers may mutate the list freely)."""
-        return list(self._rows)
+        return list(self._row_list())
 
     def columns(self) -> Tuple[Tuple[Scalar, ...], ...]:
         """All columns as parallel value tuples, in schema order.
@@ -129,13 +148,14 @@ class Table:
         cached transpose cannot be corrupted through the returned reference.
         """
         cached = self._columns_cache
-        if cached is not None and cached[0] == len(self._rows):
+        if cached is not None and cached[0] == self.row_count:
             return cached[1]
-        if self._rows:
-            transposed = tuple(tuple(col) for col in zip(*self._rows))
+        rows = self._row_list()
+        if rows:
+            transposed = tuple(tuple(col) for col in zip(*rows))
         else:
             transposed = tuple(() for _ in self._schema.column_names)
-        self._columns_cache = (len(self._rows), transposed)
+        self._columns_cache = (len(rows), transposed)
         return transposed
 
     def content_digest(self) -> str:
@@ -152,7 +172,7 @@ class Table:
         differ).
         """
         cached = self._digest_cache
-        if cached is not None and cached[0] == len(self._rows):
+        if cached is not None and cached[0] == self.row_count:
             return cached[1]
         hasher = hashlib.blake2b(digest_size=16)
         hasher.update(self.name.encode())
@@ -161,7 +181,7 @@ class Table:
         for values in self.columns():
             hasher.update(repr(values).encode())
         digest = hasher.hexdigest()
-        self._digest_cache = (len(self._rows), digest)
+        self._digest_cache = (self.row_count, digest)
         return digest
 
     def value_index(self, column: str) -> Mapping[Scalar, Tuple[int, ...]]:
@@ -178,17 +198,18 @@ class Table:
             StorageError: if the column is not in the schema.
         """
         cached = self._value_index_cache.get(column)
-        if cached is not None and cached[0] == len(self._rows):
+        if cached is not None and cached[0] == self.row_count:
             return cached[1]
         position = self._schema.index_of(column)
+        rows = self._row_list()
         buckets: Dict[Scalar, List[int]] = {}
         setdefault = buckets.setdefault
-        for index, row in enumerate(self._rows):
+        for index, row in enumerate(rows):
             setdefault(row[position], []).append(index)
         frozen: Mapping[Scalar, Tuple[int, ...]] = MappingProxyType(
             {value: tuple(indices) for value, indices in buckets.items()}
         )
-        self._value_index_cache[column] = (len(self._rows), frozen)
+        self._value_index_cache[column] = (len(rows), frozen)
         return frozen
 
     def sorted_rows(self, column: str) -> Tuple[Row, ...]:
@@ -203,12 +224,30 @@ class Table:
         Raises:
             CatalogError: if the column is not in the schema.
         """
-        cached = self._sorted_rows_cache.get(column)
-        if cached is not None and cached[0] == len(self._rows):
+        return self._sorted_run(column)[0]
+
+    def sorted_keys(self, column: str) -> Tuple[Scalar, ...]:
+        """The key list of :meth:`sorted_rows`: the column's value per run row.
+
+        Equal to ``tuple(map(itemgetter(position), sorted_rows(column)))``,
+        built and cached with the run, so a sort-merge join over the run
+        bisects it without extracting the keys per query.
+
+        Raises:
+            CatalogError: if the column is not in the schema.
+        """
+        return self._sorted_run(column)[1]
+
+    def _sorted_run(self, column: str) -> Tuple[Tuple[Row, ...], Tuple[Scalar, ...]]:
+        cached = self._sorted_run_cache.get(column)
+        if cached is not None and cached[0] == self.row_count:
             return cached[1]
-        run = tuple(sorted(self._rows, key=itemgetter(self._schema.index_of(column))))
-        self._sorted_rows_cache[column] = (len(self._rows), run)
-        return run
+        key = itemgetter(self._schema.index_of(column))
+        rows = self._row_list()
+        run = tuple(sorted(rows, key=key))
+        entry = (run, tuple(map(key, run)))
+        self._sorted_run_cache[column] = (len(rows), entry)
+        return entry
 
     def column_values(self, column: str) -> List[Scalar]:
         """All values of one column, in row order (duplicates preserved)."""
@@ -234,4 +273,4 @@ class Table:
                 )
 
     def __repr__(self) -> str:
-        return f"Table({self.name!r}, rows={len(self._rows)})"
+        return f"Table({self.name!r}, rows={self.row_count})"

@@ -9,7 +9,9 @@ scale), sort-merge-only and nested-loops-only plans over chain, star,
 cycle and Zipf data, multi-key sort-merge (closure on the S/M/B/G query),
 residual predicates, key-less nested loops, alias self-joins and empty
 inputs.  Any change to a join kernel's row order, comparison charging or
-deadline accounting shows up here as a byte difference.
+deadline accounting shows up here as a byte difference.  The same plans
+check that ``Executor.count`` — the counting root — charges exactly what
+materializing the result charges.
 
 Regenerate (only when an execution change is intended) with::
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import pathlib
 import random
-from typing import Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 from repro import ELS, Optimizer
 from repro.execution import Executor
@@ -62,6 +64,14 @@ class CountingDeadline(Deadline):
         super().tick(count, label)
 
 
+def counters(result) -> List[Tuple[str, int, int, int, float]]:
+    """Every operator's ``(label, rows_in, rows_out, comparisons, pages_read)``."""
+    return [
+        (op.label, op.rows_in, op.rows_out, op.comparisons, op.pages_read)
+        for op in result.metrics.operators
+    ]
+
+
 def render_run(name: str, database: Database, plan, **executor_options) -> str:
     """One plan's operator counters, tick total and output digest."""
     deadline = CountingDeadline()
@@ -71,10 +81,9 @@ def render_run(name: str, database: Database, plan, **executor_options) -> str:
     for row in result.rows:
         hasher.update(repr(row).encode())
     lines = [f"== {name}"]
-    for op in result.metrics.operators:
+    for label, rows_in, rows_out, comparisons, pages in counters(result):
         lines.append(
-            f"{op.label} in={op.rows_in} out={op.rows_out} "
-            f"cmp={op.comparisons} pages={op.pages_read!r}"
+            f"{label} in={rows_in} out={rows_out} cmp={comparisons} pages={pages!r}"
         )
     lines.append(
         f"count {result.count} ticks {deadline.units} digest {hasher.hexdigest()}"
@@ -99,6 +108,8 @@ def _join(method: JoinMethod, left, right, *predicates) -> JoinPlan:
 
 
 Run = Tuple[str, Database, object]
+#: A run plus the executor options it is executed with.
+GoldenRun = Tuple[str, Database, object, Dict[str, Any]]
 
 
 def _answer_runs() -> Iterator[Run]:
@@ -192,7 +203,7 @@ def _handmade_runs() -> Iterator[Run]:
     )
 
 
-def _small_buffer_run() -> str:
+def _small_buffer_run() -> GoldenRun:
     """Nested loops whose inner exceeds the buffer, charging re-read pages."""
     database = build_database(
         [TableSpec.uniform("L", 120, {"k": 30}), TableSpec.uniform("I", 400, {"k": 40})],
@@ -204,23 +215,43 @@ def _small_buffer_run() -> str:
         _scan(database, "I", "I"),
         join_predicate("L", "k", "I", "k"),
     )
-    return render_run(
-        "nested-loops small buffer", database, plan, page_size=64, buffer_pages=4
-    )
+    return "nested-loops small buffer", database, plan, {"page_size": 64, "buffer_pages": 4}
+
+
+def golden_runs() -> Iterator[GoldenRun]:
+    """Every golden plan with its executor options, in a fixed order."""
+    for runs in (_answer_runs(), _shape_runs(), _handmade_runs()):
+        for name, database, plan in runs:
+            yield name, database, plan, {}
+    yield _small_buffer_run()
 
 
 def render_row_engine() -> str:
     """Every golden plan's rendering, in a fixed order."""
-    blocks: List[str] = []
-    for runs in (_answer_runs(), _shape_runs(), _handmade_runs()):
-        for name, database, plan in runs:
-            blocks.append(render_run(name, database, plan))
-    blocks.append(_small_buffer_run())
-    return "".join(blocks)
+    return "".join(
+        render_run(name, database, plan, **options)
+        for name, database, plan, options in golden_runs()
+    )
 
 
 def test_row_engine_matches_golden_file():
     assert render_row_engine() == GOLDEN.read_text()
+
+
+def test_count_charges_what_materializing_charges():
+    """``Executor.count`` on every golden plan: the count of ``execute``'s
+    rows, every operator's counters, and the same deadline tick total."""
+    checked = 0
+    for name, database, plan, options in golden_runs():
+        executed_deadline, counted_deadline = CountingDeadline(), CountingDeadline()
+        executed = Executor(database, deadline=executed_deadline, **options).execute(plan)
+        counted = Executor(database, deadline=counted_deadline, **options).count(plan)
+        assert counted.count == len(executed.rows), name
+        assert counted.rows == [], name
+        assert counters(counted) == counters(executed), name
+        assert counted_deadline.units == executed_deadline.units, name
+        checked += 1
+    assert checked == GOLDEN.read_text().count("\n== ") + 1
 
 
 if __name__ == "__main__":

@@ -6,22 +6,25 @@ order, its ``comparisons`` charge and its deadline tick total.  Nested
 loops and filters are checked against plain double loops and
 short-circuiting conjunctions.  Every join runs both over plain row lists
 and over table-backed scans, which hand sort-merge the table's cached
-sorted run.
+sorted run and its key list.  Each join's ``count()`` is checked against
+``len(rows())`` with the same statistics and deadline ticks.
 """
 
 from __future__ import annotations
 
 import operator
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.catalog import TableSchema
+from repro.catalog import ColumnDef, ColumnType, TableSchema
 from repro.errors import DeadlineExceededError
 from repro.execution import (
     ExecutionMetrics,
     FilterOp,
+    HashJoinOp,
     NestedLoopJoinOp,
     SortMergeJoinOp,
     TableScanOp,
@@ -37,6 +40,15 @@ K, G, V = range(3)
 
 ROWS = st.lists(
     st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 9)), max_size=14
+)
+
+#: One NaN object, shared by both join sides: ``nan is nan`` holds, so
+#: identity-first comparisons (``list.count``, dict lookups) match it while
+#: ``nan == nan`` does not.
+NAN = float("nan")
+FLOAT_ROWS = st.lists(
+    st.tuples(st.sampled_from([0.0, 1.5, 2.0, NAN]), st.integers(0, 2), st.integers(0, 9)),
+    max_size=14,
 )
 
 #: name -> (join predicates, key positions, residual over (left, right)).
@@ -75,7 +87,8 @@ KEYLESS = {
 
 
 def make_table(name, rows):
-    table = Table(TableSchema.of(name, *COLUMNS))
+    schema = TableSchema.of(name, ColumnDef("k", ColumnType.FLOAT), "g", "v")
+    table = Table(schema)
     table.extend(rows)
     return table
 
@@ -136,7 +149,8 @@ def reference_nested_loops(outer, inner, positions, residual):
     ]
 
 
-def run_join(join_class, outer, inner, predicates, backed):
+def run_join(join_class, outer, inner, predicates, backed, counting=False):
+    """``rows()`` (or ``count()``), the join's stats and the tick total."""
     deadline = CountingDeadline()
     metrics = ExecutionMetrics(deadline=deadline)
     op = join_class(
@@ -145,7 +159,51 @@ def run_join(join_class, outer, inner, predicates, backed):
         predicates,
         metrics,
     )
-    return op.rows(), op.stats, deadline.units
+    result = op.count() if counting else op.rows()
+    return result, op.stats, deadline.units
+
+
+def stat_line(stats):
+    return (stats.rows_in, stats.rows_out, stats.comparisons, stats.pages_read)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([ROWS, FLOAT_ROWS]).flatmap(lambda rows: st.tuples(rows, rows)),
+    st.sampled_from([SortMergeJoinOp, NestedLoopJoinOp, HashJoinOp]),
+    st.sampled_from(sorted(CONDITIONS) + sorted(KEYLESS)),
+    st.booleans(),
+)
+def test_count_is_len_rows_with_the_same_charges(sides, join_class, name, backed):
+    outer, inner = sides
+    if name in KEYLESS:
+        if join_class is not NestedLoopJoinOp:
+            return  # sort-merge and hash joins require an equality key
+        predicates = KEYLESS[name][0]
+    else:
+        predicates = CONDITIONS[name][0]
+    rows, row_stats, row_ticks = run_join(join_class, outer, inner, predicates, backed)
+    count, count_stats, count_ticks = run_join(
+        join_class, outer, inner, predicates, backed, counting=True
+    )
+    assert count == len(rows)
+    assert stat_line(count_stats) == stat_line(row_stats)
+    assert count_ticks == row_ticks
+
+
+def test_nested_loops_count_does_not_match_a_shared_nan_key():
+    """``nan == nan`` is false, so neither rows nor count pair NaN keys,
+    even when both sides hold the very same NaN object."""
+    outer = [(NAN, 0, 0), (1.5, 0, 0)]
+    inner = [(NAN, 0, 0), (1.5, 0, 1), (NAN, 0, 2)]
+    predicates = CONDITIONS["single"][0]
+    for backed in (False, True):
+        rows, _, _ = run_join(NestedLoopJoinOp, outer, inner, predicates, backed)
+        count, _, _ = run_join(
+            NestedLoopJoinOp, outer, inner, predicates, backed, counting=True
+        )
+        assert rows == [(1.5, 0, 0, 1.5, 0, 1)]
+        assert count == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -310,6 +368,32 @@ class TestSortedRunCache:
         assert isinstance(run, tuple)
         assert table.sorted_rows("k") is run
 
+    @pytest.mark.parametrize("column,position", [("k", K), ("g", G), ("v", V)])
+    def test_keys_are_the_runs_column_and_cached(self, column, position):
+        table = make_table("R", [(3, 2, 1), (1, 0, 2), (3, 1, 3), (1, 0, 4)])
+        keys = table.sorted_keys(column)
+        assert keys == tuple(map(itemgetter(position), table.sorted_rows(column)))
+        assert isinstance(keys, tuple)  # immutable: the cached copy is shared
+        assert table.sorted_keys(column) is keys
+
+    def test_append_rebuilds_the_keys(self):
+        table = make_table("R", [(3, 0, 1), (1, 0, 2)])
+        before = table.sorted_keys("k")
+        table.append((2, 0, 9))
+        assert table.sorted_keys("k") == (1, 2, 3)
+        assert before == (1, 3)
+
+    def test_a_bare_scan_hands_out_the_cached_run_and_keys(self):
+        metrics = ExecutionMetrics()
+        table = make_table("R", [(2, 0, 0), (1, 0, 0)])
+        scan = TableScanOp("R", COLUMNS, table.scan(), metrics, table=table)
+        scan.rows()
+        run, keys = scan.sorted_run(K)
+        assert run is table.sorted_rows("k")
+        assert keys is table.sorted_keys("k")
+        table.append((0, 0, 0))  # the scan no longer holds the table's rows
+        assert scan.sorted_run(K) is None
+
     def test_append_rebuilds_the_run(self):
         table = make_table("R", [(3, 0, 1), (1, 0, 2)])
         before = table.sorted_rows("k")
@@ -324,7 +408,7 @@ class TestSortedRunCache:
         backed = make_scan("R", rows, metrics, True)
         assert backed.sorted_run(K) is None  # not scanned yet
         backed.rows()
-        assert backed.sorted_run(K) == ((1, 0, 0), (2, 0, 0))
+        assert backed.sorted_run(K) == (((1, 0, 0), (2, 0, 0)), (1, 2))
         plain = make_scan("S", rows, metrics, False)
         plain.rows()
         assert plain.sorted_run(K) is None

@@ -103,6 +103,35 @@ class TestTableAccessors:
         table.append((2, 6))
         assert table.columns() == ((1, 2), (5, 6))
 
+    def test_rows_are_zipped_only_when_a_row_reader_asks(self):
+        table = Table.from_columns(schema_rx(), {"x": [1, 2], "y": [5, 6]})
+        table.columns()
+        table.content_digest()
+        table.distinct_count("x")
+        assert (table.row_count, len(table)) == (2, 2)
+        assert table._rows is None  # read by column only: no row tuples yet
+        assert list(table.scan()) == [(1, 5), (2, 6)]
+        assert table._rows == [(1, 5), (2, 6)]
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda t: t.rows(),
+            lambda t: t.sorted_rows("y"),
+            lambda t: dict(t.value_index("x")),
+            lambda t: t.extend([], validate=False),
+        ],
+    )
+    def test_each_row_reader_sees_the_loaded_rows(self, read):
+        table = Table.from_columns(schema_rx(), {"x": [2, 1], "y": [6, 5]})
+        read(table)
+        assert table.rows() == [(2, 6), (1, 5)]
+        assert table.sorted_rows("x") == ((1, 5), (2, 6))
+        assert dict(table.value_index("x")) == {2: (0,), 1: (1,)}
+        table.append((3, 7))
+        assert table.row_count == 3
+        assert table.columns() == ((2, 1, 3), (6, 5, 7))
+
     def test_empty_table_columns_are_tuples(self):
         table = Table(schema_rx())
         assert table.columns() == ((), ())
