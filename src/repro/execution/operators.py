@@ -98,8 +98,9 @@ class TableScanOp(Operator):
     The relation name may differ from the base table (alias scans); output
     columns are qualified with the relation name so predicates compiled
     against the query resolve correctly.  ``table`` is the stored table
-    ``source_rows`` iterates, when there is one; it lets the scan hand out
-    the table's cached sorted runs.
+    ``source_rows`` iterates, when there is one; the scan then reads the
+    table's cached row tuple instead of copying ``source_rows``, and can
+    hand out the table's cached sorted runs.
     """
 
     def __init__(
@@ -128,7 +129,10 @@ class TableScanOp(Operator):
         # shared materialization.
         if self._materialized is not None:
             return self._materialized
-        result = tuple(self._source_rows)
+        if self._table is not None:
+            result = self._table.frozen_rows()
+        else:
+            result = tuple(self._source_rows)
         if self._deadline is not None:
             self._deadline.check(self._stats.label)
             self._deadline.tick(len(result), self._stats.label)
@@ -201,9 +205,12 @@ class FilterOp(Operator):
             self._deadline.tick(len(source), self._stats.label)
         self._stats.rows_in += len(source)
         self._stats.comparisons += len(source) * max(1, len(self._predicates))
-        result = list(source)
+        # The first pass reads the child's rows in place; no copy of them.
+        result = source
         for mask in self._masks:
             result = list(compress(result, mask(result)))
+        if not self._masks:
+            result = list(source)
         self._stats.rows_out += len(result)
         return result
 

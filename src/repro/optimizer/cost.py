@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["CostModel"]
 
@@ -71,15 +72,9 @@ class CostModel:
         inner_width: int,
     ) -> float:
         """Block nested loops over materialized inputs."""
-        outer_pages = self.pages(outer_rows, outer_width)
-        inner_pages = self.pages(inner_rows, inner_width)
-        if inner_pages <= self.buffer_pages:
-            io = outer_pages + inner_pages
-        else:
-            passes = max(1.0, math.ceil(outer_pages / max(1, self.buffer_pages - 1)))
-            io = outer_pages + passes * inner_pages
-        cpu = self.cpu_weight * outer_rows * inner_rows
-        return io + cpu
+        return self._nested_loops(
+            self._input(outer_rows, outer_width), self._input(inner_rows, inner_width)
+        )
 
     def sort_merge_cost(
         self,
@@ -89,14 +84,9 @@ class CostModel:
         inner_width: int,
     ) -> float:
         """External sort of both inputs plus one merge pass."""
-        io = self._sort_cost(outer_rows, outer_width) + self._sort_cost(
-            inner_rows, inner_width
+        return self._sort_merge(
+            self._input(outer_rows, outer_width), self._input(inner_rows, inner_width)
         )
-        io += self.pages(outer_rows, outer_width) + self.pages(inner_rows, inner_width)
-        cpu = self.cpu_weight * (
-            _n_log_n(outer_rows) + _n_log_n(inner_rows) + outer_rows + inner_rows
-        )
-        return io + cpu
 
     def hash_cost(
         self,
@@ -106,14 +96,9 @@ class CostModel:
         inner_width: int,
     ) -> float:
         """Hash join: in-memory when the build side fits, Grace otherwise."""
-        outer_pages = self.pages(outer_rows, outer_width)
-        inner_pages = self.pages(inner_rows, inner_width)
-        if inner_pages <= self.buffer_pages:
-            io = outer_pages + inner_pages
-        else:
-            io = 3.0 * (outer_pages + inner_pages)
-        cpu = self.cpu_weight * (outer_rows + inner_rows)
-        return io + cpu
+        return self._hash(
+            self._input(outer_rows, outer_width), self._input(inner_rows, inner_width)
+        )
 
     def output_cost(self, result_rows: float, result_width: int) -> float:
         """Materializing a join's output (write now, read by the consumer)."""
@@ -121,14 +106,64 @@ class CostModel:
             return 0.0
         return 2.0 * self.pages(result_rows, result_width) + self.cpu_weight * result_rows
 
-    def _sort_cost(self, rows: float, row_width: int) -> float:
+    # -- per-input terms ---------------------------------------------------
+    #
+    # An input's pages, sort I/O and n*log(n) depend only on its rows and
+    # width, so the optimizer computes them once per candidate (``_input``)
+    # and prices every join method from them (``_nested_loops``,
+    # ``_sort_merge``, ``_hash``).  The public ``*_cost`` methods above are
+    # the same formulas over freshly computed terms.
+
+    def _input(self, rows: float, row_width: int) -> _Input:
         pages = self.pages(rows, row_width)
+        return _Input(rows, pages, self._sort_io(pages), _n_log_n(rows))
+
+    def _sort_io(self, pages: float) -> float:
         if pages <= 1:
             return pages
         fan_in = max(2, self.buffer_pages - 1)
         runs = max(1.0, math.ceil(pages / max(1, self.buffer_pages)))
         merge_levels = max(1.0, math.ceil(math.log(runs, fan_in))) if runs > 1 else 1.0
         return 2.0 * pages * merge_levels
+
+    def _nested_loops(self, outer: _Input, inner: _Input) -> float:
+        if inner.pages <= self.buffer_pages:
+            io = outer.pages + inner.pages
+        else:
+            passes = max(1.0, math.ceil(outer.pages / max(1, self.buffer_pages - 1)))
+            io = outer.pages + passes * inner.pages
+        cpu = self.cpu_weight * outer.rows * inner.rows
+        return io + cpu
+
+    def _sort_merge(self, outer: _Input, inner: _Input) -> float:
+        io = outer.sort_io + inner.sort_io
+        io += outer.pages + inner.pages
+        cpu = self.cpu_weight * (
+            outer.n_log_n + inner.n_log_n + outer.rows + inner.rows
+        )
+        return io + cpu
+
+    def _hash(self, outer: _Input, inner: _Input) -> float:
+        if inner.pages <= self.buffer_pages:
+            io = outer.pages + inner.pages
+        else:
+            io = 3.0 * (outer.pages + inner.pages)
+        cpu = self.cpu_weight * (outer.rows + inner.rows)
+        return io + cpu
+
+
+class _Input(NamedTuple):
+    """One join input's cost terms.
+
+    ``pages`` is :meth:`CostModel.pages`'s return value as is (an ``int``
+    for a non-empty input), so every formula sums pages exactly as the
+    public ``*_cost`` methods do.
+    """
+
+    rows: float
+    pages: float
+    sort_io: float
+    n_log_n: float
 
 
 def _n_log_n(rows: float) -> float:

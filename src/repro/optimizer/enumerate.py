@@ -13,18 +13,27 @@ products are deferred: an expansion without any eligible join predicate is
 considered only when a subset has no connected expansion at all (the paper:
 "most query optimizers would avoid the join order beginning with
 (R1 >< R3) since this would be evaluated as a cartesian product").
+
+Every expansion is priced before it is estimated: a join's cost depends
+only on its inputs, so :func:`_best_join` computes each option's cost
+floor, estimates options cheapest-floor first, and skips (never estimates)
+an option whose floor already exceeds the best connected total.  DP,
+bushy DP, greedy and the randomized searches all choose join methods
+through it, and only each subset's winner gets a plan node.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..core.estimator import EstimateState, JoinSizeEstimator
 from ..errors import OptimizationError
 from ..sql.predicates import Op
-from .cost import CostModel
+from .cost import CostModel, _Input
 from .plans import JoinMethod, JoinPlan, PlanNode, ScanPlan
 
 __all__ = ["enumerate_dp", "enumerate_dp_bushy", "enumerate_greedy"]
@@ -37,16 +46,8 @@ class _Candidate:
     state: EstimateState
     #: ``leaf_order(plan)``, extended as the candidate grows.
     order: Tuple[str, ...]
-
-    @property
-    def sort_key(self):
-        """Deterministic comparison: cost first, then leaf order.
-
-        Symmetric cost formulas (e.g. sort-merge) can tie exactly between
-        mirror-image orders; the lexicographic leaf-order tie-break keeps
-        plan choice independent of hash-randomized set iteration.
-        """
-        return (self.cost, self.order)
+    #: The plan's cost terms as a join input, computed once.
+    terms: _Input
 
 
 def _build_scans(
@@ -71,88 +72,108 @@ def _build_scans(
             estimated_cost=cost,
             row_width=width,
         )
-        scans[relation] = _Candidate(plan, cost, estimator.start(relation), (relation,))
+        state = estimator.start(relation)
+        scans[relation] = _Candidate(
+            plan, cost, state, (relation,), cost_model._input(state.rows, width)
+        )
     return scans
 
 
-def _join_methods_for(
-    eligible, methods: Sequence[JoinMethod]
-) -> List[JoinMethod]:
-    """Methods applicable to this expansion (SM/HJ need an equi-key)."""
-    has_equi_key = any(p.predicate.op is Op.EQ for p in eligible)
-    result = []
-    for method in methods:
-        if method is JoinMethod.NESTED_LOOPS or has_equi_key:
-            result.append(method)
-    return result
+_JOIN_COST: Dict[JoinMethod, Callable[[CostModel, _Input, _Input], float]] = {
+    JoinMethod.NESTED_LOOPS: CostModel._nested_loops,
+    JoinMethod.SORT_MERGE: CostModel._sort_merge,
+    JoinMethod.HASH: CostModel._hash,
+}
 
 
-def _join_cost(
-    cost_model: CostModel,
-    method: JoinMethod,
-    outer_rows: float,
-    outer_width: int,
-    inner_rows: float,
-    inner_width: int,
-) -> float:
-    if method is JoinMethod.NESTED_LOOPS:
-        return cost_model.nested_loops_cost(
-            outer_rows, outer_width, inner_rows, inner_width
-        )
-    if method is JoinMethod.SORT_MERGE:
-        return cost_model.sort_merge_cost(
-            outer_rows, outer_width, inner_rows, inner_width
-        )
-    return cost_model.hash_cost(outer_rows, outer_width, inner_rows, inner_width)
-
-
-def _expand(
-    candidate: _Candidate,
-    relation: str,
-    scans: Mapping[str, _Candidate],
+def _best_join(
+    pairs: Iterable[Tuple[_Candidate, _Candidate]],
     estimator: JoinSizeEstimator,
     cost_model: CostModel,
     methods: Sequence[JoinMethod],
+    bushy: bool = False,
 ) -> Optional[_Candidate]:
-    """The cheapest way to join ``relation`` into ``candidate``, if any.
+    """The cheapest join among ``(outer, inner)`` pairs that cover one set.
 
-    One estimator step per expansion: the step's eligible predicates decide
-    which join methods apply, and only the cheapest method gets a plan node.
+    This is the one place a join is priced and its method chosen.  An
+    option's join cost needs only its inputs, so every option is priced
+    first, with ``floor = outer.cost + inner.cost + min(join cost)`` over
+    the configured methods, and visited in ascending ``floor`` order.  The
+    estimator step (``join`` left-deep, ``join_states`` when ``bushy``)
+    runs only for an option whose ``floor`` is not above the best
+    *connected* total found so far.  Skipping the others changes no result:
+
+    * an option's total adds an output cost >= 0 to a join cost >= the
+      minimum, and float addition is monotone, so ``total >= floor``;
+    * a cartesian option wins only when no connected one exists, so the
+      cut compares against connected totals alone;
+    * the cut is strict, so an option that could tie the best on cost
+      still competes on the ``(cost, leaf order)`` tie-break.
+
+    The loop skips a cut option and never stops early, so an unordered
+    (NaN) floor cannot make the outcome depend on the sort.  Among visited options the
+    applicable methods (SM/HJ need an equi-key) are compared in
+    ``methods`` order by the same total, and the winner is the minimum by
+    ``(cost, leaf order, position in pairs)`` — exactly what taking the
+    first minimum of the connected (else cartesian) candidates in ``pairs``
+    order would give.  Symmetric cost formulas (sort-merge) tie exactly
+    between mirror-image orders; the leaf-order tie-break keeps plan
+    choice independent of hash-randomized set iteration.  Only the winner
+    gets a plan node.
     """
-    new_state, step = estimator.join(candidate.state, relation)
-    applicable = _join_methods_for(step.eligible, methods)
-    if not applicable:
+    prices = [_JOIN_COST[method] for method in methods]
+    options = []
+    for position, (outer, inner) in enumerate(pairs):
+        base = outer.cost + inner.cost
+        join_costs = [price(cost_model, outer.terms, inner.terms) for price in prices]
+        floor = base + min(join_costs) if join_costs else math.inf
+        options.append((floor, position, base, join_costs, outer, inner))
+    options.sort(key=itemgetter(0, 1))
+
+    connected_bound = math.inf
+    best: Dict[bool, tuple] = {}
+    for floor, position, base, join_costs, outer, inner in options:
+        if floor > connected_bound:
+            continue
+        if bushy:
+            state, step = estimator.join_states(outer.state, inner.state)
+        else:
+            state, step = estimator.join(outer.state, inner.order[0])
+        has_equi_key = any(p.predicate.op is Op.EQ for p in step.eligible)
+        width = outer.plan.row_width + inner.plan.row_width
+        output_cost = cost_model.output_cost(state.rows, width)
+        method: Optional[JoinMethod] = None
+        total = 0.0
+        for candidate_method, join_cost in zip(methods, join_costs):
+            if candidate_method is not JoinMethod.NESTED_LOOPS and not has_equi_key:
+                continue
+            method_total = base + join_cost + output_cost
+            if method is None or method_total < total:
+                method, total = candidate_method, method_total
+        if method is None:
+            continue
+        connected = bool(step.eligible)
+        key = (total, outer.order + inner.order, position)
+        held = best.get(connected)
+        if held is None or key < held[0]:
+            best[connected] = (key, method, state, step, outer, inner, width)
+            if connected:
+                connected_bound = total
+
+    winner = best.get(True) or best.get(False)
+    if winner is None:
         return None
-    scan = scans[relation]
-    assert isinstance(scan.plan, ScanPlan)
-    outer_width = candidate.plan.row_width
-    inner_width = scan.plan.row_width
-    result_width = outer_width + inner_width
-    output_cost = cost_model.output_cost(new_state.rows, result_width)
-    best_method: Optional[JoinMethod] = None
-    best_cost = 0.0
-    for method in applicable:
-        join_cost = _join_cost(
-            cost_model,
-            method,
-            candidate.state.rows,
-            outer_width,
-            scan.state.rows,
-            inner_width,
-        )
-        total = candidate.cost + scan.cost + join_cost + output_cost
-        if best_method is None or total < best_cost:
-            best_method, best_cost = method, total
+    (total, order, _), method, state, step, outer, inner, width = winner
     plan = JoinPlan(
-        left=candidate.plan,
-        right=scan.plan,
-        method=best_method,
+        left=outer.plan,
+        right=inner.plan,
+        method=method,
         predicates=tuple(p.predicate for p in step.eligible),
-        estimated_rows=new_state.rows,
-        estimated_cost=best_cost,
-        row_width=result_width,
+        estimated_rows=state.rows,
+        estimated_cost=total,
+        row_width=width,
     )
-    return _Candidate(plan, best_cost, new_state, candidate.order + (relation,))
+    return _Candidate(plan, total, state, order, cost_model._input(state.rows, width))
 
 
 def enumerate_dp(
@@ -191,25 +212,17 @@ def enumerate_dp(
     }
     for size in range(2, len(relations) + 1):
         for subset in map(frozenset, itertools.combinations(relations, size)):
-            connected: List[_Candidate] = []
-            cartesian: List[_Candidate] = []
+            pairs = []
             for relation in sorted(subset):
                 source = best.get(subset - {relation})
-                if source is None:
-                    continue
-                candidate = _expand(
-                    source, relation, scans, estimator, cost_model, methods
-                )
-                if candidate is None:
-                    continue
-                assert isinstance(candidate.plan, JoinPlan)
-                bucket = cartesian if candidate.plan.is_cartesian else connected
-                bucket.append(candidate)
-            # Defer cartesian products: only fall back to them when the
-            # subset cannot be formed through join predicates.
-            pool = connected or cartesian
-            if pool:
-                best[subset] = min(pool, key=lambda c: c.sort_key)
+                if source is not None:
+                    pairs.append((source, scans[relation]))
+            # Cartesian products are deferred inside _best_join: they are
+            # kept only when the subset cannot be formed through a join
+            # predicate.
+            winner = _best_join(pairs, estimator, cost_model, methods)
+            if winner is not None:
+                best[subset] = winner
 
     full = best.get(frozenset(relations))
     if full is None:
@@ -250,23 +263,13 @@ def enumerate_greedy(
         remaining = [r for r in relations if r != start]
         failed = False
         while remaining:
-            connected: List[Tuple[_Candidate, str]] = []
-            cartesian: List[Tuple[_Candidate, str]] = []
-            for relation in remaining:
-                expanded = _expand(
-                    candidate, relation, scans, estimator, cost_model, methods
-                )
-                if expanded is None:
-                    continue
-                assert isinstance(expanded.plan, JoinPlan)
-                bucket = cartesian if expanded.plan.is_cartesian else connected
-                bucket.append((expanded, relation))
-            pool = connected or cartesian
-            if not pool:
+            pairs = [(candidate, scans[relation]) for relation in remaining]
+            expanded = _best_join(pairs, estimator, cost_model, methods)
+            if expanded is None:
                 failed = True
                 break
-            candidate, chosen = min(pool, key=lambda pair: pair[0].sort_key)
-            remaining.remove(chosen)
+            candidate = expanded
+            remaining.remove(candidate.order[-1])
         if failed:
             continue
         if best_overall is None or candidate.cost < best_overall.cost:
@@ -274,48 +277,6 @@ def enumerate_greedy(
     if best_overall is None:
         raise OptimizationError("greedy enumeration found no complete plan")
     return best_overall.plan
-
-
-def _expand_pair(
-    left: _Candidate,
-    right: _Candidate,
-    estimator: JoinSizeEstimator,
-    cost_model: CostModel,
-    methods: Sequence[JoinMethod],
-) -> Optional[_Candidate]:
-    """The cheapest join of two disjoint sub-candidates (bushy step)."""
-    new_state, step = estimator.join_states(left.state, right.state)
-    applicable = _join_methods_for(step.eligible, methods)
-    if not applicable:
-        return None
-    outer_width = left.plan.row_width
-    inner_width = right.plan.row_width
-    result_width = outer_width + inner_width
-    output_cost = cost_model.output_cost(new_state.rows, result_width)
-    best_method: Optional[JoinMethod] = None
-    best_cost = 0.0
-    for method in applicable:
-        join_cost = _join_cost(
-            cost_model,
-            method,
-            left.state.rows,
-            outer_width,
-            right.state.rows,
-            inner_width,
-        )
-        total = left.cost + right.cost + join_cost + output_cost
-        if best_method is None or total < best_cost:
-            best_method, best_cost = method, total
-    plan = JoinPlan(
-        left=left.plan,
-        right=right.plan,
-        method=best_method,
-        predicates=tuple(p.predicate for p in step.eligible),
-        estimated_rows=new_state.rows,
-        estimated_cost=best_cost,
-        row_width=result_width,
-    )
-    return _Candidate(plan, best_cost, new_state, left.order + right.order)
 
 
 def enumerate_dp_bushy(
@@ -354,29 +315,19 @@ def enumerate_dp_bushy(
     for size in range(2, len(relations) + 1):
         for subset_tuple in itertools.combinations(sorted(relations), size):
             subset = frozenset(subset_tuple)
-            connected: List[_Candidate] = []
-            cartesian: List[_Candidate] = []
             # Every ordered split into two non-empty disjoint halves; the
             # ordering doubles as the outer/inner orientation choice.
+            pairs = []
             for left_size in range(1, size):
                 for left_tuple in itertools.combinations(subset_tuple, left_size):
                     left_set = frozenset(left_tuple)
-                    right_set = subset - left_set
                     left_candidate = best.get(left_set)
-                    right_candidate = best.get(right_set)
-                    if left_candidate is None or right_candidate is None:
-                        continue
-                    candidate = _expand_pair(
-                        left_candidate, right_candidate, estimator, cost_model, methods
-                    )
-                    if candidate is None:
-                        continue
-                    assert isinstance(candidate.plan, JoinPlan)
-                    bucket = cartesian if candidate.plan.is_cartesian else connected
-                    bucket.append(candidate)
-            pool = connected or cartesian
-            if pool:
-                best[subset] = min(pool, key=lambda c: c.sort_key)
+                    right_candidate = best.get(subset - left_set)
+                    if left_candidate is not None and right_candidate is not None:
+                        pairs.append((left_candidate, right_candidate))
+            winner = _best_join(pairs, estimator, cost_model, methods, bushy=True)
+            if winner is not None:
+                best[subset] = winner
 
     full = best.get(frozenset(relations))
     if full is None:

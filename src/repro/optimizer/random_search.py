@@ -6,7 +6,7 @@ algorithm [13], the AB algorithm [15] and randomized algorithms [14, 5]."
 This module supplies the randomized family (after Swami's thesis [14] and
 Kang [5]): both algorithms walk the space of *left-deep join orders*, cost
 each complete order by folding the incremental estimator along it (the
-same ``_expand`` step dynamic programming uses), and move between
+same pricing and method choice dynamic programming uses), and move between
 neighbors obtained by swapping two positions.
 
 * **Iterative improvement** — repeated random restarts, each descending
@@ -29,7 +29,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 from ..core.estimator import JoinSizeEstimator
 from ..errors import OptimizationError
 from .cost import CostModel
-from .enumerate import _build_scans, _Candidate, _expand
+from .enumerate import _best_join, _build_scans, _Candidate
 from .plans import JoinMethod, PlanNode
 
 __all__ = ["cost_of_order", "enumerate_iterative_improvement", "enumerate_annealing"]
@@ -53,7 +53,9 @@ def cost_of_order(
     """
     candidate = scans[order[0]]
     for relation in order[1:]:
-        expanded = _expand(candidate, relation, scans, estimator, cost_model, methods)
+        expanded = _best_join(
+            ((candidate, scans[relation]),), estimator, cost_model, methods
+        )
         if expanded is None:
             return None
         candidate = expanded

@@ -1,22 +1,24 @@
 """In-memory row-store table.
 
-Rows are plain tuples laid out in schema order.  The executor scans tables
-through :meth:`Table.scan`; the statistics collector, the ground truth and
-the content digest read whole columns through the cached column tuples of
-:meth:`Table.columns`.  Data is append-only, which is all the paper's
-workloads need — there is no update/delete path to complicate statistics.
+Rows are plain tuples laid out in schema order.  The row engine's scans
+share the cached row tuple of :meth:`Table.frozen_rows`; the statistics
+collector, the ground truth and the content digest read whole columns
+through the cached column tuples of :meth:`Table.columns`.  Data is
+append-only, which is all the paper's workloads need — there is no
+update/delete path to complicate statistics.
 
 Append-only storage buys a cheap invariant the execution layer leans on:
 the row count alone identifies a table's content state, so the columnar
 transpose (:meth:`Table.columns`), the content digest
-(:meth:`Table.content_digest`), the value indexes and the sorted runs can
-be cached and invalidated by comparing ``row_count`` against the count
-they were computed at.  A table loaded by :meth:`Table.from_columns` starts
-with the columns it was given as its cached transpose and no row tuples:
-the rows are zipped from the columns the first time a row reader
-(:meth:`Table.scan`, :meth:`Table.rows`, :meth:`Table.sorted_rows`,
-:meth:`Table.value_index`, :meth:`Table.append`) asks for them, so a
-table only ever read by column never holds its values twice.
+(:meth:`Table.content_digest`), the frozen row tuple, the value indexes
+and the sorted runs can be cached and invalidated by comparing
+``row_count`` against the count they were computed at.  A table loaded by
+:meth:`Table.from_columns` starts with the columns it was given as its
+cached transpose and no row tuples: the rows are zipped from the columns
+the first time a row reader (:meth:`Table.scan`, :meth:`Table.rows`,
+:meth:`Table.frozen_rows`, :meth:`Table.sorted_rows`,
+:meth:`Table.value_index`, :meth:`Table.append`) asks for them, so a table
+only ever read by column never holds its values twice.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ class Table:
         self._sorted_run_cache: Dict[
             str, Tuple[int, Tuple[Tuple[Row, ...], Tuple[Scalar, ...]]]
         ] = {}
+        self._frozen_rows_cache: Optional[Tuple[int, Tuple[Row, ...]]] = None
 
     @property
     def schema(self) -> TableSchema:
@@ -137,6 +140,20 @@ class Table:
     def rows(self) -> List[Row]:
         """A copy of all rows (callers may mutate the list freely)."""
         return list(self._row_list())
+
+    def frozen_rows(self) -> Tuple[Row, ...]:
+        """All rows in insertion order as a tuple, cached per row count.
+
+        The row engine's scans share it instead of copying the table per
+        query; an ``append``/``extend`` changes the row count and so
+        invalidates it, and being a tuple it cannot be corrupted by a caller.
+        """
+        cached = self._frozen_rows_cache
+        if cached is not None and cached[0] == self.row_count:
+            return cached[1]
+        frozen = tuple(self._row_list())
+        self._frozen_rows_cache = (len(frozen), frozen)
+        return frozen
 
     def columns(self) -> Tuple[Tuple[Scalar, ...], ...]:
         """All columns as parallel value tuples, in schema order.

@@ -5,7 +5,8 @@ per-table index of prepared join predicates.  Hypothesis checks them
 against a brute-force filter over ``prepared_predicates`` on generated
 chain, star, cycle, clique and snowflake queries, with closure on and off:
 the same predicates, in the same order.  A counting delegate then pins the
-DP's work: one ``join`` per expansion and no separate eligibility pass.
+DP's work: at most one ``join`` per expansion, none for an expansion
+the cost-floor cut skips, and no separate eligibility pass.
 """
 
 import random
@@ -146,6 +147,12 @@ class TestDynamicProgrammingWork:
             (JoinMethod.NESTED_LOOPS, JoinMethod.SORT_MERGE),
         )
         # A clique's every subset is connected, so each subset of k >= 2
-        # relations is expanded once per member: sum_k C(n, k) * k.
+        # relations has one expansion per member: sum_k C(n, k) * k.  Each
+        # settled subset estimates at least its winner; an expansion whose
+        # cost floor exceeds the best connected total is never estimated.
         expansions = size * (2 ** (size - 1) - 1)
-        assert counting.calls == {"start": size, "join": expansions, "eligible": 0}
+        subsets = 2**size - 1 - size
+        assert counting.calls["start"] == size
+        assert counting.calls["eligible"] == 0
+        assert subsets <= counting.calls["join"] < expansions
+        assert counting.calls["join"] == 154

@@ -4,6 +4,8 @@ import pytest
 
 from repro.catalog import ColumnDef, ColumnType, TableSchema
 from repro.errors import CatalogError, StorageError
+from repro.execution.metrics import ExecutionMetrics
+from repro.execution.operators import TableScanOp
 from repro.storage import Database, Table
 
 
@@ -120,6 +122,7 @@ class TestTableAccessors:
             lambda t: t.sorted_rows("y"),
             lambda t: dict(t.value_index("x")),
             lambda t: t.extend([], validate=False),
+            lambda t: t.frozen_rows(),
         ],
     )
     def test_each_row_reader_sees_the_loaded_rows(self, read):
@@ -131,6 +134,35 @@ class TestTableAccessors:
         table.append((3, 7))
         assert table.row_count == 3
         assert table.columns() == ((2, 1, 3), (6, 5, 7))
+
+    def test_frozen_rows_are_cached_until_the_row_count_changes(self):
+        table = Table.from_columns(schema_rx(), {"x": [1, 2], "y": [5, 6]})
+        frozen = table.frozen_rows()
+        assert frozen == ((1, 5), (2, 6)) and isinstance(frozen, tuple)
+        assert table.frozen_rows() is frozen
+        table.append((3, 7))
+        assert table.frozen_rows() == ((1, 5), (2, 6), (3, 7))
+        table.extend([(4, 8)])
+        table.extend([(5, 9)], validate=False)
+        assert table.frozen_rows() == ((1, 5), (2, 6), (3, 7), (4, 8), (5, 9))
+        assert table.frozen_rows() is table.frozen_rows()
+
+    def test_row_engine_scans_share_the_frozen_rows(self):
+        table = Table.from_columns(schema_rx(), {"x": [2, 1], "y": [6, 5]})
+        first, second = ExecutionMetrics(), ExecutionMetrics()
+        scans = [
+            TableScanOp("R", ["x", "y"], table.scan(), metrics, 3.0, table=table)
+            for metrics in (first, second)
+        ]
+        assert scans[0].rows() is table.frozen_rows() is scans[1].rows()
+        for metrics in (first, second):
+            (stats,) = metrics.operators
+            assert (stats.rows_in, stats.rows_out, stats.pages_read) == (2, 2, 3.0)
+        assert scans[0].sorted_run(0) == (((1, 5), (2, 6)), (1, 2))
+        table.append((3, 7))
+        # The scan materialized fewer rows than the table now holds.
+        assert scans[0].sorted_run(0) is None
+        assert scans[0].rows() == ((2, 6), (1, 5))
 
     def test_empty_table_columns_are_tuples(self):
         table = Table(schema_rx())
