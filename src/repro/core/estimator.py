@@ -239,6 +239,34 @@ class JoinSizeEstimator:
     def prepared_predicates(self) -> Tuple[PreparedJoinPredicate, ...]:
         return tuple(self._prepared)
 
+    @property
+    def order_independent(self) -> bool:
+        """Whether every join order of a table set gets the same estimate.
+
+        Section 7: after predicate transitive closure every pair of columns
+        in an equivalence class is linked by a predicate, so Rule LS divides
+        each step by ``max(m_I, m_R)``, the larger of the two sides'
+        smallest class cardinalities.  Since ``max(a, b) * min(a, b) =
+        a * b`` the divisors telescope to Equation 3's, whatever the order
+        or bushy split; non-equality predicates multiply in once each
+        either way.  Orders then differ only in float rounding.
+
+        False without closure, under Rule SS and with frequency
+        statistics (whose selectivities are not of the form
+        ``1 / max(d1, d2)``): each has orders of one set whose estimates
+        differ.  Also False, conservatively, under Rules M and REP, whose
+        final estimate for a set does not depend on the order either (M
+        applies every predicate once; under closure REP applies a class's
+        constant once per added table of the class): the DP keeps one
+        estimator step per expansion for them, so the baseline
+        algorithms' plans stay exactly those of the per-expansion search.
+        """
+        return (
+            self._closure is not None
+            and self._config.rule is SelectivityRule.LARGEST
+            and not self._config.use_frequency_stats
+        )
+
     def effective_table(self, table: str) -> EffectiveTable:
         if table not in self._effective:
             raise EstimationError(f"table {table!r} is not part of the query")

@@ -20,6 +20,15 @@ floor, estimates options cheapest-floor first, and skips (never estimates)
 an option whose floor already exceeds the best connected total.  DP,
 bushy DP, greedy and the randomized searches all choose join methods
 through it, and only each subset's winner gets a plan node.
+
+When the estimator is order-independent (Rule LS under transitive
+closure, Section 7: :attr:`JoinSizeEstimator.order_independent`), a
+subset's estimate does not depend on which expansion produced it, so both
+DPs estimate each subset once, at its cheapest-floor option; its other
+options only look up their eligible predicates.  Each subset is settled by
+exactly one :func:`_best_join` call, so that call holds the estimate.
+Greedy does not reuse estimates: its options extend one candidate by
+different tables, so they cover different sets.
 """
 
 from __future__ import annotations
@@ -92,8 +101,9 @@ def _best_join(
     cost_model: CostModel,
     methods: Sequence[JoinMethod],
     bushy: bool = False,
+    order_independent: bool = False,
 ) -> Optional[_Candidate]:
-    """The cheapest join among ``(outer, inner)`` pairs that cover one set.
+    """The cheapest join among ``(outer, inner)`` pairs.
 
     This is the one place a join is priced and its method chosen.  An
     option's join cost needs only its inputs, so every option is priced
@@ -109,6 +119,18 @@ def _best_join(
       cut compares against connected totals alone;
     * the cut is strict, so an option that could tie the best on cost
       still competes on the ``(cost, leaf order)`` tie-break.
+
+    ``order_independent`` says that every pair covers one table set whose
+    estimate does not depend on the split
+    (:attr:`JoinSizeEstimator.order_independent`).  Then only the first
+    option visited runs the estimator step; the others reuse its state and
+    output cost (one width per set) and look up only their eligible
+    predicates, which decide connectivity, the equi-key test and the plan's
+    predicates.  With the output cost known, an option whose ``floor +
+    output cost`` exceeds the best connected total is cut before that
+    lookup: its total is ``(base + join cost) + output cost``, again no
+    less by monotonicity.  The DP passes it; greedy (whose pairs cover
+    different sets) and the randomized searches do not.
 
     The loop skips a cut option and never stops early, so an unordered
     (NaN) floor cannot make the outcome depend on the sort.  Among visited options the
@@ -131,17 +153,32 @@ def _best_join(
     options.sort(key=itemgetter(0, 1))
 
     connected_bound = math.inf
+    known: Optional[Tuple[EstimateState, float]] = None
     best: Dict[bool, tuple] = {}
     for floor, position, base, join_costs, outer, inner in options:
         if floor > connected_bound:
             continue
-        if bushy:
-            state, step = estimator.join_states(outer.state, inner.state)
-        else:
-            state, step = estimator.join(outer.state, inner.order[0])
-        has_equi_key = any(p.predicate.op is Op.EQ for p in step.eligible)
         width = outer.plan.row_width + inner.plan.row_width
-        output_cost = cost_model.output_cost(state.rows, width)
+        if known is not None:
+            state, output_cost = known
+            if floor + output_cost > connected_bound:
+                continue
+            if bushy:
+                eligible = estimator.eligible_between(
+                    outer.state.tables, inner.state.tables
+                )
+            else:
+                eligible = estimator.eligible(outer.state.tables, inner.order[0])
+        else:
+            if bushy:
+                state, step = estimator.join_states(outer.state, inner.state)
+            else:
+                state, step = estimator.join(outer.state, inner.order[0])
+            eligible = step.eligible
+            output_cost = cost_model.output_cost(state.rows, width)
+            if order_independent:
+                known = (state, output_cost)
+        has_equi_key = any(p.predicate.op is Op.EQ for p in eligible)
         method: Optional[JoinMethod] = None
         total = 0.0
         for candidate_method, join_cost in zip(methods, join_costs):
@@ -152,23 +189,23 @@ def _best_join(
                 method, total = candidate_method, method_total
         if method is None:
             continue
-        connected = bool(step.eligible)
+        connected = bool(eligible)
         key = (total, outer.order + inner.order, position)
         held = best.get(connected)
         if held is None or key < held[0]:
-            best[connected] = (key, method, state, step, outer, inner, width)
+            best[connected] = (key, method, state, eligible, outer, inner, width)
             if connected:
                 connected_bound = total
 
     winner = best.get(True) or best.get(False)
     if winner is None:
         return None
-    (total, order, _), method, state, step, outer, inner, width = winner
+    (total, order, _), method, state, eligible, outer, inner, width = winner
     plan = JoinPlan(
         left=outer.plan,
         right=inner.plan,
         method=method,
-        predicates=tuple(p.predicate for p in step.eligible),
+        predicates=tuple(p.predicate for p in eligible),
         estimated_rows=state.rows,
         estimated_cost=total,
         row_width=width,
@@ -207,6 +244,7 @@ def enumerate_dp(
     if len(relations) == 1:
         return scans[relations[0]].plan
 
+    order_independent = estimator.order_independent
     best: Dict[FrozenSet[str], _Candidate] = {
         frozenset((r,)): scans[r] for r in relations
     }
@@ -220,7 +258,10 @@ def enumerate_dp(
             # Cartesian products are deferred inside _best_join: they are
             # kept only when the subset cannot be formed through a join
             # predicate.
-            winner = _best_join(pairs, estimator, cost_model, methods)
+            winner = _best_join(
+                pairs, estimator, cost_model, methods,
+                order_independent=order_independent,
+            )
             if winner is not None:
                 best[subset] = winner
 
@@ -309,6 +350,7 @@ def enumerate_dp_bushy(
     if len(relations) == 1:
         return scans[relations[0]].plan
 
+    order_independent = estimator.order_independent
     best: Dict[FrozenSet[str], _Candidate] = {
         frozenset((r,)): scans[r] for r in relations
     }
@@ -325,7 +367,10 @@ def enumerate_dp_bushy(
                     right_candidate = best.get(subset - left_set)
                     if left_candidate is not None and right_candidate is not None:
                         pairs.append((left_candidate, right_candidate))
-            winner = _best_join(pairs, estimator, cost_model, methods, bushy=True)
+            winner = _best_join(
+                pairs, estimator, cost_model, methods,
+                bushy=True, order_independent=order_independent,
+            )
             if winner is not None:
                 best[subset] = winner
 

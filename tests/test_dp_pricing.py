@@ -11,6 +11,10 @@ snowflake, cycle and clique graphs of 2-7 relations, under every paper
 estimator configuration and with and without hash joins, that:
 
 * ``explain()`` and ``repr`` of the estimated cost are identical;
+* the plans are equal, except that under an order-independent estimator
+  (ELS with closure), whose DP estimates each table subset once, a node's
+  estimated rows may differ from the reference in the last bits (within
+  1e-12 relative);
 * the priced enumerators never call ``join``/``join_states`` more often.
 """
 
@@ -31,7 +35,7 @@ from repro.optimizer import (
     enumerate_dp_bushy,
     enumerate_greedy,
 )
-from repro.optimizer.plans import JoinPlan, ScanPlan, explain
+from repro.optimizer.plans import JoinPlan, ScanPlan, explain, joins_of
 from repro.sql import Projection, Query, join_predicate
 from repro.sql.predicates import Op
 from repro.workloads import (
@@ -280,7 +284,18 @@ def _compare(query, catalog, widths, rows, config, closure, methods, enumerator)
     plan = priced(counter, model, widths, rows, methods)
     assert explain(plan) == explain(expected)
     assert repr(plan.estimated_cost) == repr(expected.estimated_cost)
-    assert plan == expected
+    if counter.order_independent:
+        # One estimate per subset: a node keeps the rows of its subset's
+        # first visited option, which may round differently in the last
+        # bits from the reference winner's own order.
+        nodes, reference_nodes = joins_of(plan), joins_of(expected)
+        assert len(nodes) == len(reference_nodes)
+        for node, reference_node in zip(nodes, reference_nodes):
+            assert node.estimated_rows == pytest.approx(
+                reference_node.estimated_rows, rel=1e-12, abs=0.0
+            )
+    else:
+        assert plan == expected
     assert counter.steps <= expected_counter.steps
     return plan, counter.steps, expected_counter.steps
 
@@ -338,7 +353,8 @@ def test_symmetric_sort_merge_tie_breaks_on_leaf_order(enumerator):
     assert plan.method is JoinMethod.SORT_MERGE
     if enumerator != "greedy":  # greedy keeps the first of tied starts
         assert (plan.left.relation, plan.right.relation) == ("A", "B")
-        assert steps == reference_steps == 2
+        # ELS estimates {A, B} once; the mirror order reuses that estimate.
+        assert (steps, reference_steps) == (1, 2)
 
 
 def test_star_whose_best_plan_starts_with_a_cartesian_product():

@@ -5,8 +5,10 @@ per-table index of prepared join predicates.  Hypothesis checks them
 against a brute-force filter over ``prepared_predicates`` on generated
 chain, star, cycle, clique and snowflake queries, with closure on and off:
 the same predicates, in the same order.  A counting delegate then pins the
-DP's work: at most one ``join`` per expansion, none for an expansion
-the cost-floor cut skips, and no separate eligibility pass.
+DP's work: none for an expansion the cost-floor cut skips; under SM at
+most one ``join`` per expansion and no separate eligibility pass; under
+ELS, whose estimate is order-independent, one ``join`` per subset and an
+eligibility lookup for each other expansion not cut.
 """
 
 import random
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog import Catalog
-from repro.core import ELS, JoinSizeEstimator
+from repro.core import ELS, SM, JoinSizeEstimator
 from repro.optimizer import CostModel, JoinMethod, enumerate_dp
 from repro.workloads import clique_workload
 
@@ -130,29 +132,48 @@ class _CountingEstimator:
         return self._estimator.eligible(joined, table)
 
 
+def _clique_dp_calls(config, size):
+    """Estimator calls made by ``enumerate_dp`` on a ``size``-clique."""
+    workload = clique_workload(size, random.Random(3), 20, 200)
+    counting = _CountingEstimator(
+        JoinSizeEstimator(workload.query, _catalog(workload.specs), config)
+    )
+    widths = {spec.name: 8 for spec in workload.specs}
+    rows = {spec.name: spec.rows for spec in workload.specs}
+    enumerate_dp(
+        counting,
+        CostModel(),
+        widths,
+        rows,
+        (JoinMethod.NESTED_LOOPS, JoinMethod.SORT_MERGE),
+    )
+    return counting.calls
+
+
 class TestDynamicProgrammingWork:
+    # A clique's every subset is connected, so each subset of k >= 2
+    # relations has one expansion per member: sum_k C(n, k) * k.  An
+    # expansion whose cost floor exceeds the best connected total is never
+    # estimated.
+    SIZE = 6
+    EXPANSIONS = SIZE * (2 ** (SIZE - 1) - 1)
+    SUBSETS = 2**SIZE - 1 - SIZE
+
     def test_one_join_per_expansion_and_no_eligible_pass(self):
-        size = 6
-        workload = clique_workload(size, random.Random(3), 20, 200)
-        counting = _CountingEstimator(
-            JoinSizeEstimator(workload.query, _catalog(workload.specs), ELS)
-        )
-        widths = {spec.name: 8 for spec in workload.specs}
-        rows = {spec.name: spec.rows for spec in workload.specs}
-        enumerate_dp(
-            counting,
-            CostModel(),
-            widths,
-            rows,
-            (JoinMethod.NESTED_LOOPS, JoinMethod.SORT_MERGE),
-        )
-        # A clique's every subset is connected, so each subset of k >= 2
-        # relations has one expansion per member: sum_k C(n, k) * k.  Each
-        # settled subset estimates at least its winner; an expansion whose
-        # cost floor exceeds the best connected total is never estimated.
-        expansions = size * (2 ** (size - 1) - 1)
-        subsets = 2**size - 1 - size
-        assert counting.calls["start"] == size
-        assert counting.calls["eligible"] == 0
-        assert subsets <= counting.calls["join"] < expansions
-        assert counting.calls["join"] == 154
+        # ELS is order-independent: each subset is estimated once, and
+        # every other expansion not cut looks up only its eligible
+        # predicates.
+        calls = _clique_dp_calls(ELS, self.SIZE)
+        assert calls["start"] == self.SIZE
+        assert calls["join"] == self.SUBSETS
+        assert calls["join"] + calls["eligible"] <= self.EXPANSIONS
+        assert calls["eligible"] == 14
+
+    def test_order_dependent_estimator_joins_per_expansion(self):
+        # SM keeps one step per expansion not cut: each settled subset
+        # estimates at least its winner, and no eligibility pass runs.
+        calls = _clique_dp_calls(SM, self.SIZE)
+        assert calls["start"] == self.SIZE
+        assert calls["eligible"] == 0
+        assert self.SUBSETS <= calls["join"] < self.EXPANSIONS
+        assert calls["join"] == 142
