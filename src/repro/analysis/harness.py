@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.config import ELS, SM, SSS, EstimatorConfig
-from ..core.estimator import JoinSizeEstimator
+from ..core.estimator import build_estimators
 from ..errors import DeadlineExceededError, ReproError, WorkloadError
 from ..execution.executor import validate_engine
 from ..resilience.chaos import FaultPlan, InjectedWorkerCrash
@@ -139,28 +139,35 @@ def _estimate_records(
     actual: Optional[int],
     failure: Optional[FailureReport] = None,
 ) -> List[AccuracyRecord]:
-    """Run every estimator once and pair it with the (maybe absent) truth."""
+    """Run every estimator once and pair it with the (maybe absent) truth.
+
+    The estimators come from one :func:`~repro.core.estimator.build_estimators`
+    call, so the setups share the query's preliminary phase: closure runs
+    once per closure flag, and setups reading the same configuration fields
+    (SM+PTC and SSS+PTC) share effective statistics and selectivities.
+    Each estimate equals the one a separate ``JoinSizeEstimator`` gives.
+    """
     join_order = list(order) if order is not None else list(workload.query.tables)
     degraded = actual is None
-    records: List[AccuracyRecord] = []
-    for spec in algorithms:
-        config = (
-            spec.config.but(check_invariants=True) if check_invariants else spec.config
+    specs = list(algorithms)
+    setups = [
+        (
+            spec.config.but(check_invariants=True) if check_invariants else spec.config,
+            spec.apply_closure,
         )
-        estimator = JoinSizeEstimator(
-            workload.query, database.catalog, config, spec.apply_closure
+        for spec in specs
+    ]
+    estimators = build_estimators(workload.query, database.catalog, setups)
+    return [
+        AccuracyRecord(
+            spec.name,
+            estimator.estimate(join_order),
+            actual,
+            degraded=degraded,
+            failure=failure if degraded else None,
         )
-        estimate = estimator.estimate(join_order)
-        records.append(
-            AccuracyRecord(
-                spec.name,
-                estimate,
-                actual,
-                degraded=degraded,
-                failure=failure if degraded else None,
-            )
-        )
-    return records
+        for spec, estimator in zip(specs, estimators)
+    ]
 
 
 def evaluate_workload(

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ..core.estimator import JoinSizeEstimator
+from ..core.estimator import build_estimators
 from ..workloads.generator import build_database
 from ..workloads.queries import chain_workload
 from .harness import PAPER_ALGORITHMS, AlgorithmSpec, prefix_query
@@ -70,12 +70,12 @@ def run_error_propagation(
         )
         database = build_database(workload.specs, seed=seed * 1000 + trial)
         order = list(workload.query.tables)
-        estimators = {
-            spec.name: JoinSizeEstimator(
-                workload.query, database.catalog, spec.config, spec.apply_closure
-            )
-            for spec in algorithm_list
-        }
+        built = build_estimators(
+            workload.query,
+            database.catalog,
+            [(spec.config, spec.apply_closure) for spec in algorithm_list],
+        )
+        estimators = {spec.name: est for spec, est in zip(algorithm_list, built)}
         for k in range(2, max_tables + 1):
             prefix = order[:k]
             actual = true_join_size(prefix_query(workload.query, prefix), database)

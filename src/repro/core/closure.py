@@ -131,19 +131,28 @@ def transitive_closure(
     implied: List[ImpliedPredicate] = []
 
     # -- equality closure (rules a-d), iterated to fixpoint --------------
-    changed = True
-    while changed:
-        changed = False
-        equalities = [
-            p
-            for p in ordered
-            if p.op is Op.EQ and isinstance(p.right, ColumnRef)
-        ]
+    # Each pass pairs every equality known at its start with each later one
+    # sharing a column, in (i, j) order.  A pair of equalities both known
+    # before the previous pass was already tried there, and its conclusion
+    # is known now, so a pass only tries pairs whose later member is new.
+    equalities = [
+        p for p in ordered if p.op is Op.EQ and isinstance(p.right, ColumnRef)
+    ]
+    by_column: Dict[ColumnRef, List[int]] = {}
+    fresh = 0  # index of the first equality the previous pass added
+    while fresh < len(equalities):
+        for position in range(fresh, len(equalities)):
+            for column in dict.fromkeys(equalities[position].columns):
+                by_column.setdefault(column, []).append(position)
+        derived: List[ComparisonPredicate] = []
         for i, first in enumerate(equalities):
-            for second in equalities[i + 1 :]:
+            start = max(i + 1, fresh)
+            partners = sorted(
+                {j for column in first.columns for j in by_column[column] if j >= start}
+            )
+            for j in partners:
+                second = equalities[j]
                 shared = _shared_column(first, second)
-                if shared is None:
-                    continue
                 left = _other_column(first, shared)
                 right = _other_column(second, shared)
                 if left == right:
@@ -154,8 +163,10 @@ def transitive_closure(
                 rule = _classify_equality_derivation(candidate, first, second)
                 known.add(candidate)
                 ordered.append(candidate)
+                derived.append(candidate)
                 implied.append(ImpliedPredicate(candidate, rule, (first, second)))
-                changed = True
+        fresh = len(equalities)
+        equalities.extend(derived)
 
     # -- constant propagation (rule e) ------------------------------------
     equivalence = EquivalenceClasses.from_predicates(ordered)
@@ -171,9 +182,10 @@ def transitive_closure(
             if candidate in known:
                 continue
             # Provenance: the constant predicate plus *an* equality that
-            # witnesses the class membership (the closure has made all
-            # pairwise equalities explicit, so a direct witness exists).
-            witness = _find_equality(ordered, constant.left, member)
+            # witnesses the class membership.  The closure has made every
+            # pairwise equality of a class explicit, so the witness is in
+            # ``known`` already.
+            witness = ComparisonPredicate(constant.left, Op.EQ, member).canonical()
             known.add(candidate)
             ordered.append(candidate)
             implied.append(
@@ -213,14 +225,3 @@ def _other_column(predicate: ComparisonPredicate, column: ColumnRef) -> ColumnRe
     assert isinstance(predicate.right, ColumnRef)
     return predicate.right if predicate.left == column else predicate.left
 
-
-def _find_equality(
-    predicates: List[ComparisonPredicate], a: ColumnRef, b: ColumnRef
-) -> ComparisonPredicate:
-    """Find the explicit equality predicate linking two columns."""
-    target = ComparisonPredicate(a, Op.EQ, b).canonical()
-    for predicate in predicates:
-        if predicate == target:
-            return predicate
-    # The closure guarantees a direct witness; synthesize one defensively.
-    return target

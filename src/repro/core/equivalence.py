@@ -17,11 +17,43 @@ compression.  Estimators use it to
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..sql.predicates import ColumnRef, ComparisonPredicate, Op
 
 __all__ = ["EquivalenceClasses"]
+
+
+class _PartitionIndex:
+    """Every partition query answered once: the sorted classes, each
+    registered column's class and class identifier, and each table's
+    Section 6 groups."""
+
+    __slots__ = ("classes", "class_of", "class_id", "table_groups")
+
+    def __init__(self, parent: Dict[ColumnRef, ColumnRef], find) -> None:
+        by_root: Dict[ColumnRef, List[ColumnRef]] = {}
+        for column in parent:
+            by_root.setdefault(find(column), []).append(column)
+        groups = sorted((frozenset(group) for group in by_root.values()), key=min)
+        self.classes: Tuple[FrozenSet[ColumnRef], ...] = tuple(groups)
+        self.class_of: Dict[ColumnRef, FrozenSet[ColumnRef]] = {}
+        self.class_id: Dict[ColumnRef, ColumnRef] = {}
+        by_table: Dict[str, List[FrozenSet[ColumnRef]]] = {}
+        for group in groups:
+            smallest = min(group)
+            local: Dict[str, List[ColumnRef]] = {}
+            for column in group:
+                self.class_of[column] = group
+                self.class_id[column] = smallest
+                local.setdefault(column.table, []).append(column)
+            for table, columns in local.items():
+                if len(columns) > 1:
+                    by_table.setdefault(table, []).append(frozenset(columns))
+        self.table_groups: Dict[str, Tuple[FrozenSet[ColumnRef], ...]] = {
+            table: tuple(sorted(table_groups, key=min))
+            for table, table_groups in by_table.items()
+        }
 
 
 class EquivalenceClasses:
@@ -29,11 +61,20 @@ class EquivalenceClasses:
 
     Columns never seen by :meth:`add` or :meth:`union` are implicitly
     singleton classes; queries against them are well defined.
+
+    The partition queries (:meth:`class_id`, :meth:`members`,
+    :meth:`classes`, :meth:`single_table_groups`) read an index built
+    lazily on the first such query: the sorted classes, a column → class
+    map and every table's Section 6 groups.  An :meth:`add` of a new
+    column or a :meth:`union` of two classes drops the index, so the next
+    query rebuilds it; :meth:`find`'s path compression leaves the
+    partition, and so the index, as it is.
     """
 
     def __init__(self) -> None:
         self._parent: Dict[ColumnRef, ColumnRef] = {}
         self._size: Dict[ColumnRef, int] = {}
+        self._index: Optional[_PartitionIndex] = None
 
     @classmethod
     def from_predicates(
@@ -58,6 +99,7 @@ class EquivalenceClasses:
         if column not in self._parent:
             self._parent[column] = column
             self._size[column] = 1
+            self._index = None
 
     def union(self, a: ColumnRef, b: ColumnRef) -> None:
         """Merge the classes of two columns (adding them if unseen)."""
@@ -71,6 +113,7 @@ class EquivalenceClasses:
             root_a, root_b = root_b, root_a
         self._parent[root_b] = root_a
         self._size[root_a] += self._size[root_b]
+        self._index = None
 
     def find(self, column: ColumnRef) -> ColumnRef:
         """The class representative for a column (path-compressing)."""
@@ -87,20 +130,23 @@ class EquivalenceClasses:
         """True when the two columns are j-equivalent."""
         return self.find(a) == self.find(b)
 
+    def _partition(self) -> _PartitionIndex:
+        if self._index is None:
+            self._index = _PartitionIndex(self._parent, self.find)
+        return self._index
+
     def class_id(self, column: ColumnRef) -> ColumnRef:
         """A stable identifier for the class of a column.
 
         The identifier is the lexicographically smallest member, so it does
         not depend on union order — tests and reports can rely on it.
         """
-        root = self.find(column)
-        members = [c for c in self._parent if self.find(c) == root]
-        return min(members) if members else column
+        return self._partition().class_id.get(column, column)
 
     def members(self, column: ColumnRef) -> FrozenSet[ColumnRef]:
-        """All columns in the same class as the argument."""
-        root = self.find(column)
-        return frozenset(c for c in self._parent if self.find(c) == root)
+        """All columns in the same class as the argument (empty for a
+        column never registered)."""
+        return self._partition().class_of.get(column, frozenset())
 
     def columns(self) -> Tuple[ColumnRef, ...]:
         """All registered columns, sorted."""
@@ -108,11 +154,7 @@ class EquivalenceClasses:
 
     def classes(self) -> Tuple[FrozenSet[ColumnRef], ...]:
         """All classes (including singletons), deterministically ordered."""
-        by_root: Dict[ColumnRef, List[ColumnRef]] = {}
-        for column in self._parent:
-            by_root.setdefault(self.find(column), []).append(column)
-        groups = [frozenset(group) for group in by_root.values()]
-        return tuple(sorted(groups, key=lambda g: min(g)))
+        return self._partition().classes
 
     def nontrivial_classes(self) -> Tuple[FrozenSet[ColumnRef], ...]:
         """Classes with at least two members (the ones that matter)."""
@@ -125,12 +167,7 @@ class EquivalenceClasses:
         the effective-cardinality reduction and the urn-model effective
         column cardinality.
         """
-        groups: List[FrozenSet[ColumnRef]] = []
-        for cls in self.classes():
-            local = frozenset(c for c in cls if c.table == table)
-            if len(local) > 1:
-                groups.append(local)
-        return tuple(sorted(groups, key=min))
+        return self._partition().table_groups.get(table, ())
 
     def __len__(self) -> int:
         return len(self.classes())

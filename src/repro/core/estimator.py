@@ -2,7 +2,8 @@
 
 The estimator follows the two-phase structure of Algorithm ELS (Section 4):
 
-**Preliminary phase** (steps 1–5, done once per query in ``__init__``):
+**Preliminary phase** (steps 1–5, done once per query when an estimator
+is built):
 
 1. De-duplicate predicates (done by :class:`~repro.sql.query.Query`).
 2. Generate implied predicates via transitive closure (optional — the
@@ -13,6 +14,13 @@ The estimator follows the two-phase structure of Algorithm ELS (Section 4):
    (``repro.core.effective``).
 5. Compute the join selectivity of every join predicate from the effective
    (or, for the standard algorithm, original) column cardinalities.
+
+Steps 1–2 read only the query and the closure flag; steps 3–5 read the
+catalog and a few configuration fields.  :func:`build_estimators` builds
+several configurations over one query and runs each part once per distinct
+input, so the paper's four algorithms share one closure and SM+PTC and
+SSS+PTC share their effective statistics and selectivities.  The public
+constructor takes the same path for a single configuration.
 
 **Incremental phase** (step 6): starting from one table, repeatedly join
 the next table of the order.  At each step the *eligible* join predicates —
@@ -52,6 +60,7 @@ __all__ = [
     "StepEstimate",
     "IncrementalEstimate",
     "JoinSizeEstimator",
+    "build_estimators",
     "two_way_join_size",
 ]
 
@@ -139,11 +148,113 @@ class IncrementalEstimate:
         return tuple(step.rows for step in self.steps[1:])
 
 
+#: Per table, each incident join predicate with its position in the
+#: prepared tuple and its *other* tables (see ``JoinSizeEstimator.eligible``).
+_Incidence = Dict[str, Tuple[Tuple[int, PreparedJoinPredicate, FrozenSet[str]], ...]]
+
+
+@dataclass(frozen=True, eq=False)
+class _QueryPhase:
+    """Steps 1–2 of the preliminary phase: everything that reads only the
+    query and the closure flag.
+
+    Attributes:
+        query: The query after the (optional) transitive-closure rewrite.
+        closure: The closure's result, or ``None`` without closure.
+        equivalence: Equivalence classes over ``query``'s predicates.
+        local: Each relation's local predicates, in predicate order.
+        joins: The join predicates, in predicate order.
+    """
+
+    query: Query
+    closure: Optional[ClosureResult]
+    equivalence: EquivalenceClasses
+    local: Mapping[str, Tuple[ComparisonPredicate, ...]]
+    joins: Tuple[ComparisonPredicate, ...]
+
+    @classmethod
+    def build(cls, query: Query, apply_closure: bool) -> "_QueryPhase":
+        closure: Optional[ClosureResult] = None
+        if apply_closure:
+            query, closure = close_query(query)
+            equivalence = closure.equivalence
+        else:
+            equivalence = EquivalenceClasses.from_predicates(query.predicates)
+        local: Dict[str, List[ComparisonPredicate]] = {t: [] for t in query.tables}
+        joins: List[ComparisonPredicate] = []
+        for predicate in query.predicates:
+            if predicate.is_join:
+                joins.append(predicate)
+            else:
+                local[predicate.left.table].append(predicate)
+        return cls(
+            query,
+            closure,
+            equivalence,
+            {table: tuple(predicates) for table, predicates in local.items()},
+            tuple(joins),
+        )
+
+
+class _PreliminaryPhase:
+    """The preliminary phase of one query over one catalog, memoised for
+    every configuration built from it.
+
+    The query part is built once per closure flag.  Effective tables
+    (steps 3–4) are kept per closure flag and the configuration fields
+    :func:`~repro.core.effective.compute_effective_table` reads; prepared
+    join predicates and their incidence index (step 5) add the two fields
+    only selectivities read.  Two configurations that agree on a key get
+    the same, never mutated, objects.
+    """
+
+    def __init__(self, query: Query, catalog: Catalog) -> None:
+        self.query = query
+        self.catalog = catalog
+        self.phases: Dict[bool, _QueryPhase] = {}
+        self.effective: Dict[Tuple[object, ...], Dict[str, EffectiveTable]] = {}
+        self.prepared: Dict[
+            Tuple[object, ...], Tuple[Tuple[PreparedJoinPredicate, ...], _Incidence]
+        ] = {}
+
+    def query_phase(self, apply_closure: bool) -> _QueryPhase:
+        phase = self.phases.get(apply_closure)
+        if phase is None:
+            phase = self.phases[apply_closure] = _QueryPhase.build(
+                self.query, apply_closure
+            )
+        return phase
+
+
+def build_estimators(
+    query: Query,
+    catalog: Catalog,
+    setups: Iterable[Tuple[EstimatorConfig, bool]],
+) -> List[JoinSizeEstimator]:
+    """One estimator per ``(config, apply_closure)`` setup over one query.
+
+    Each estimator equals, estimate for estimate, the one
+    ``JoinSizeEstimator(query, catalog, config, apply_closure)`` builds,
+    and runs its own invariant check when ``config.check_invariants`` is
+    set.  The preliminary phase is shared: closure runs once per closure
+    flag, and setups that read the same configuration fields share their
+    effective tables and prepared join predicates.
+    """
+    phase = _PreliminaryPhase(query, catalog)
+    estimators: List[JoinSizeEstimator] = []
+    for config, apply_closure in setups:
+        estimator = JoinSizeEstimator.__new__(JoinSizeEstimator)
+        estimator._bind(phase, config, apply_closure)
+        estimators.append(estimator)
+    return estimators
+
+
 class JoinSizeEstimator:
     """Join-size estimator configured by an :class:`EstimatorConfig`.
 
     One instance is bound to one query and one catalog; the preliminary
-    phase runs in the constructor and the incremental phase is exposed via
+    phase runs in the constructor (or, shared across configurations, in
+    :func:`build_estimators`) and the incremental phase is exposed via
     :meth:`start` / :meth:`join` / :meth:`estimate_order`.
 
     Args:
@@ -164,17 +275,20 @@ class JoinSizeEstimator:
         config: EstimatorConfig = ELS,
         apply_closure: bool = True,
     ) -> None:
-        self._original_query = query
+        self._bind(_PreliminaryPhase(query, catalog), config, apply_closure)
+
+    def _bind(
+        self, phase: _PreliminaryPhase, config: EstimatorConfig, apply_closure: bool
+    ) -> None:
+        """Run the preliminary phase for one configuration, reusing every
+        part ``phase`` already holds for it."""
+        query_phase = phase.query_phase(apply_closure)
+        catalog = phase.catalog
         self._catalog = catalog
         self._config = config
-        self._closure: Optional[ClosureResult] = None
-        if apply_closure:
-            query, closure_result = close_query(query)
-            self._closure = closure_result
-            self._equivalence = closure_result.equivalence
-        else:
-            self._equivalence = EquivalenceClasses.from_predicates(query.predicates)
-        self._query = query
+        self._closure = query_phase.closure
+        self._equivalence = query_phase.equivalence
+        self._query = query = query_phase.query
 
         if config.check_invariants:
             # Lazy import: repro.lint.semantic depends on core.closure, so a
@@ -182,38 +296,38 @@ class JoinSizeEstimator:
             from ..lint.semantic import check_estimator_input
 
             check_estimator_input(
-                self._query,
+                query,
                 catalog,
                 self._equivalence,
                 expect_closure=apply_closure,
             )
 
-        self._effective: Dict[str, EffectiveTable] = {}
-        for table in query.tables:
-            base = query.base_table(table)
-            stats = catalog.stats(base)
-            local = [
-                p
-                for p in query.predicates
-                if p.is_local and p.references(table)
-            ]
-            self._effective[table] = compute_effective_table(
-                table, stats, local, self._equivalence, config
-            )
+        # Effective tables read these fields; selectivities read two more.
+        key: Tuple[object, ...] = (
+            apply_closure,
+            config.fold_local_into_columns,
+            config.use_urn_model,
+            config.handle_single_table_jequiv,
+        )
+        effective = phase.effective.get(key)
+        if effective is None:
+            effective = phase.effective[key] = {
+                table: compute_effective_table(
+                    table,
+                    catalog.stats(query.base_table(table)),
+                    query_phase.local[table],
+                    self._equivalence,
+                    config,
+                )
+                for table in query.tables
+            }
+        self._effective: Dict[str, EffectiveTable] = effective
 
-        self._prepared: List[PreparedJoinPredicate] = [
-            self._prepare(p) for p in query.predicates if p.is_join
-        ]
-        # Incidence index for step 6: per table, each incident predicate
-        # with its position in ``_prepared`` and its *other* tables, kept in
-        # ``_prepared`` order so eligible tuples come out in that order.
-        self._incident: Dict[
-            str, List[Tuple[int, PreparedJoinPredicate, FrozenSet[str]]]
-        ] = {table: [] for table in query.tables}
-        for position, prepared in enumerate(self._prepared):
-            tables = prepared.tables
-            for table in tables:
-                self._incident[table].append((position, prepared, tables - {table}))
+        key += (config.use_frequency_stats, config.default_join_selectivity)
+        prepared = phase.prepared.get(key)
+        if prepared is None:
+            prepared = phase.prepared[key] = self._prepare_all(query_phase.joins)
+        self._prepared, self._incident = prepared
         self._representatives = self._derive_representatives()
 
     # -- public accessors --------------------------------------------------
@@ -251,21 +365,27 @@ class JoinSizeEstimator:
         or bushy split; non-equality predicates multiply in once each
         either way.  Orders then differ only in float rounding.
 
-        False without closure, under Rule SS and with frequency
-        statistics (whose selectivities are not of the form
-        ``1 / max(d1, d2)``): each has orders of one set whose estimates
-        differ.  Also False, conservatively, under Rules M and REP, whose
-        final estimate for a set does not depend on the order either (M
-        applies every predicate once; under closure REP applies a class's
-        constant once per added table of the class): the DP keeps one
-        estimator step per expansion for them, so the baseline
-        algorithms' plans stay exactly those of the per-expansion search.
+        Rule M applies every join predicate of a set exactly once, when
+        the last of its tables joins, with or without closure.  Under
+        closure Rule REP applies a class's constant once per added table
+        of the class: every later table of the class has an eligible
+        predicate in it, so a set with ``k`` of the class's tables gets
+        the constant ``k - 1`` times whatever the order or split.
+
+        False without closure under Rules LS and REP (a cartesian step
+        loses a class's predicate that a later table brings back), under
+        Rule SS, and for Rule LS with frequency statistics (whose
+        selectivities are not of the form ``1 / max(d1, d2)``): each has
+        orders of one set whose estimates differ.
         """
-        return (
-            self._closure is not None
-            and self._config.rule is SelectivityRule.LARGEST
-            and not self._config.use_frequency_stats
-        )
+        rule = self._config.rule
+        if rule is SelectivityRule.MULTIPLICATIVE:
+            return True
+        if self._closure is None:
+            return False
+        if rule is SelectivityRule.REPRESENTATIVE:
+            return True
+        return rule is SelectivityRule.LARGEST and not self._config.use_frequency_stats
 
     def effective_table(self, table: str) -> EffectiveTable:
         if table not in self._effective:
@@ -446,6 +566,22 @@ class JoinSizeEstimator:
         return rows
 
     # -- internals -------------------------------------------------------
+
+    def _prepare_all(
+        self, joins: Sequence[ComparisonPredicate]
+    ) -> Tuple[Tuple[PreparedJoinPredicate, ...], _Incidence]:
+        """Step 5 for every join predicate, and the incidence index step 6
+        walks: per table, each incident predicate kept in prepared order so
+        eligible tuples come out in that order."""
+        prepared = tuple(self._prepare(p) for p in joins)
+        incident: Dict[str, List[Tuple[int, PreparedJoinPredicate, FrozenSet[str]]]] = {
+            table: [] for table in self._query.tables
+        }
+        for position, entry in enumerate(prepared):
+            tables = entry.tables
+            for table in tables:
+                incident[table].append((position, entry, tables - {table}))
+        return prepared, {table: tuple(entries) for table, entries in incident.items()}
 
     def _prepare(self, predicate: ComparisonPredicate) -> PreparedJoinPredicate:
         if predicate.op is not Op.EQ:

@@ -12,9 +12,9 @@ estimator configuration and with and without hash joins, that:
 
 * ``explain()`` and ``repr`` of the estimated cost are identical;
 * the plans are equal, except that under an order-independent estimator
-  (ELS with closure), whose DP estimates each table subset once, a node's
-  estimated rows may differ from the reference in the last bits (within
-  1e-12 relative);
+  (ELS and SRS with closure, SM with or without it), whose DP estimates
+  each table subset once, a node's estimated rows may differ from the
+  reference in the last bits (within 1e-12 relative);
 * the priced enumerators never call ``join``/``join_states`` more often.
 """
 

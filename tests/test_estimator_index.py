@@ -5,19 +5,20 @@ per-table index of prepared join predicates.  Hypothesis checks them
 against a brute-force filter over ``prepared_predicates`` on generated
 chain, star, cycle, clique and snowflake queries, with closure on and off:
 the same predicates, in the same order.  A counting delegate then pins the
-DP's work: none for an expansion the cost-floor cut skips; under SM at
+DP's work: none for an expansion the cost-floor cut skips; under SSS at
 most one ``join`` per expansion and no separate eligibility pass; under
-ELS, whose estimate is order-independent, one ``join`` per subset and an
-eligibility lookup for each other expansion not cut.
+ELS, SM and SRS, whose estimates are order-independent, one ``join`` per
+subset and an eligibility lookup for each other expansion not cut.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog import Catalog
-from repro.core import ELS, SM, JoinSizeEstimator
+from repro.core import ELS, SM, SRS, SSS, JoinSizeEstimator
 from repro.optimizer import CostModel, JoinMethod, enumerate_dp
 from repro.workloads import clique_workload
 
@@ -169,11 +170,19 @@ class TestDynamicProgrammingWork:
         assert calls["join"] + calls["eligible"] <= self.EXPANSIONS
         assert calls["eligible"] == 14
 
+    @pytest.mark.parametrize("config", [SM, SRS], ids=["SM", "SRS"])
+    def test_rules_m_and_rep_join_once_per_subset(self, config):
+        # Rule M, and Rule REP under closure, are order-independent too.
+        calls = _clique_dp_calls(config, self.SIZE)
+        assert calls["start"] == self.SIZE
+        assert calls["join"] == self.SUBSETS
+        assert calls["join"] + calls["eligible"] <= self.EXPANSIONS
+
     def test_order_dependent_estimator_joins_per_expansion(self):
-        # SM keeps one step per expansion not cut: each settled subset
+        # SSS keeps one step per expansion not cut: each settled subset
         # estimates at least its winner, and no eligibility pass runs.
-        calls = _clique_dp_calls(SM, self.SIZE)
+        calls = _clique_dp_calls(SSS, self.SIZE)
         assert calls["start"] == self.SIZE
         assert calls["eligible"] == 0
         assert self.SUBSETS <= calls["join"] < self.EXPANSIONS
-        assert calls["join"] == 142
+        assert calls["join"] == 126

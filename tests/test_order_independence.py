@@ -13,10 +13,10 @@ in one class) and a non-equality join predicate, that:
 * the DP that estimates each subset once chooses the same plan, by
   ``explain()`` and cost ``repr``, as the DP with that reuse turned off.
 
-Pinned counterexamples show that Rule SS, ELS and Rule REP without
-closure, and the frequency extension are really order-dependent.  Rules M
-and REP under closure read false conservatively: their final estimate for
-a set agrees across orders too, which a last test pins.
+The order-independent configurations are Rule LS under closure, Rule M
+with or without closure, and Rule REP under closure.  Pinned
+counterexamples show that Rule SS, ELS and Rule REP without closure, and
+the frequency extension are really order-dependent.
 """
 
 from __future__ import annotations
@@ -40,12 +40,18 @@ from repro.workloads import example_1b_catalog, example_1b_query
 
 from .test_dp_pricing import METHOD_SETS, _workload
 
+#: Name -> (config, apply_closure) of every order-independent setup.
 ORDER_INDEPENDENT = {
-    "ELS": ELS,
-    "ELS-no-fold": ELS.but(fold_local_into_columns=False),
-    "ELS-no-urn": ELS.but(use_urn_model=False),
-    "ELS-no-jequiv": ELS.but(handle_single_table_jequiv=False),
-    "standard-LS": SM.but(rule=SelectivityRule.LARGEST),
+    "ELS": (ELS, True),
+    "ELS-no-fold": (ELS.but(fold_local_into_columns=False), True),
+    "ELS-no-urn": (ELS.but(use_urn_model=False), True),
+    "ELS-no-jequiv": (ELS.but(handle_single_table_jequiv=False), True),
+    "standard-LS": (SM.but(rule=SelectivityRule.LARGEST), True),
+    "SM": (SM, True),
+    "SM-no-closure": (SM, False),
+    "SM-frequency": (SM.but(use_frequency_stats=True), True),
+    "SRS": (SRS, True),
+    "SRS-constant": (SRS.but(representative_selectivity=0.01), True),
 }
 
 
@@ -123,7 +129,7 @@ class TestOrderIndependentConfigurations:
     @given(case=queries(), name=st.sampled_from(sorted(ORDER_INDEPENDENT)))
     def test_every_order_and_split_gives_the_same_rows(self, case, name):
         query, catalog = case
-        estimator = JoinSizeEstimator(query, catalog, ORDER_INDEPENDENT[name])
+        estimator = JoinSizeEstimator(query, catalog, *ORDER_INDEPENDENT[name])
         assert estimator.order_independent
         reference = _reference_states(estimator)
         for subset, expected in reference.items():
@@ -152,7 +158,7 @@ class TestOrderIndependentConfigurations:
         self, case, name, methods, enumerator
     ):
         query, catalog = case
-        estimator = JoinSizeEstimator(query, catalog, ORDER_INDEPENDENT[name])
+        estimator = JoinSizeEstimator(query, catalog, *ORDER_INDEPENDENT[name])
         widths = {table: 8 for table in estimator.query.tables}
         rows = {table: catalog.stats(table).row_count for table in estimator.query.tables}
         model = CostModel()
@@ -163,6 +169,35 @@ class TestOrderIndependentConfigurations:
         assert explain(plan) == explain(expected)
         assert repr(plan.estimated_cost) == repr(expected.estimated_cost)
         assert _rows_close(plan.estimated_rows, expected.estimated_rows)
+
+
+class TestRuleTable:
+    def test_which_setups_read_order_independent(self):
+        query, catalog = example_1b_query(), example_1b_catalog()
+        expected = {
+            (SM, True): True,
+            (SM, False): True,
+            (SRS, True): True,
+            (SRS, False): False,
+            (ELS, True): True,
+            (ELS, False): False,
+            (SSS, True): False,
+            (ELS.but(use_frequency_stats=True), True): False,
+            (SM.but(use_frequency_stats=True), True): True,
+        }
+        for (config, closure), independent in expected.items():
+            estimator = JoinSizeEstimator(query, catalog, config, closure)
+            assert estimator.order_independent is independent, (config.rule, closure)
+
+    def test_rule_m_with_frequency_statistics_is_order_free(self):
+        # Frequency statistics change each predicate's selectivity, and
+        # Rule M still applies each predicate once per table set.
+        query, catalog = _skewed_catalog()
+        estimator = JoinSizeEstimator(query, catalog, SM.but(use_frequency_stats=True))
+        assert estimator.order_independent
+        expected = estimator.estimate(["A", "B", "C"])
+        for order in itertools.permutations(["A", "B", "C"]):
+            assert _rows_close(estimator.estimate(order), expected)
 
 
 def _skewed_catalog():
@@ -228,21 +263,3 @@ class TestExcludedConfigurations:
         assert _rows_close(
             plain.estimate(["A", "B", "C"]), plain.estimate(["B", "C", "A"])
         )
-
-    @settings(max_examples=25, deadline=None)
-    @given(case=queries())
-    def test_rule_m_and_rep_under_closure_read_false_though_order_free(self, case):
-        # The property is sound, not complete.  Rule M applies every
-        # predicate of a set exactly once, and under closure Rule REP
-        # applies a class's constant once per added table of the class, so
-        # no order changes their final estimate beyond rounding either.
-        # They read false all the same, so their DP keeps one estimator
-        # step per expansion and their plans stay the per-expansion ones.
-        query, catalog = case
-        for config in (SM, SRS):
-            estimator = JoinSizeEstimator(query, catalog, config)
-            assert not estimator.order_independent
-            tables = sorted(estimator.query.tables)
-            expected = estimator.estimate(tables)
-            for order in itertools.permutations(tables):
-                assert _rows_close(estimator.estimate(order), expected)
