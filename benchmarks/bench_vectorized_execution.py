@@ -10,9 +10,9 @@ the full-scale 157k-row database and asserts
     statistics (rows in/out, comparisons, simulated pages), so the
     speedup is measured on provably equivalent work;
 (b) **a real speedup** — columnar ground truth is faster than the row
-    engine on the biggest prefix (the committed ``BENCH_execution.json``
-    records ≥3x overall on the reference machine; here we assert the
-    direction conservatively to keep CI timing-noise-proof);
+    engine on the biggest prefix (perfbench's traced runs measure each
+    engine's time; here we assert the direction conservatively to keep
+    CI timing-noise-proof);
 (c) **cache effectiveness** — a warm ground-truth cache answers in
     microseconds without touching either engine.
 """

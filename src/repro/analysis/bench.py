@@ -1,64 +1,17 @@
-"""Execution benchmark: estimator and ground-truth engine timings.
+"""Machine metadata recorded with every benchmark result.
 
-Backs the ``repro-els bench`` subcommand.  For every prefix of the
-paper's Section 8 join (S⋈M, S⋈M⋈B, S⋈M⋈B⋈G) it times, with medians
-over configurable repeats:
-
-* **estimator build** — ``JoinSizeEstimator`` construction (closure,
-  effective cardinalities, selectivities) under Algorithm ELS,
-* **estimate** — one incremental walk of the join order,
-* **row truth** — executed COUNT(*) on the row-at-a-time engine,
-* **columnar truth** — the same plan on the vectorized columnar engine,
-* **parallel truth** — with ``engine="parallel"``, the same plan on the
-  morsel-parallel tier at the configured worker count *and* at one
-  worker (the one-worker column proves the parallel engine never
-  regresses the serial baseline),
-* **cached truth** — a :func:`~repro.analysis.truth.true_join_size` call
-  answered by the ground-truth cache.
-
-The report lands in ``BENCH_execution.json`` together with machine
-metadata — including the full per-engine worker configuration
-(``meta["engine_config"]``: morsel workers, morsel rows, radix
-partitions), not just ``cpu_count`` — establishing the perf trajectory
-later PRs are measured against.  ``min_speedup`` turns the report into a
-CI gate: the run fails when the gated speedup (columnar over row, or
-parallel over columnar when the parallel engine is benched) drops below
-the floor.
+``perfbench/run.py`` stamps each result line with
+:func:`machine_metadata`, so a measurement always carries the hardware
+and runtime it was taken on.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
-import statistics
-import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict
 
-from ..core.config import ELS
-from ..core.estimator import JoinSizeEstimator
-from ..errors import BenchmarkError
-from ..execution.executor import Executor, validate_engine
-from ..execution.parallel import (
-    DEFAULT_MORSEL_ROWS,
-    DEFAULT_RADIX_BITS,
-    FANOUT_MIN_PROBE_ROWS,
-)
-from ..sql.query import Query
-from ..storage.database import Database
-from ..workloads.paper import load_smbg_database, smbg_query, smbg_specs
-from ..workloads.queries import GeneratedWorkload
-from ..resilience.retry import RetryPolicy
-from .harness import evaluate_workloads, prefix_query
-from .truth import build_reference_plan, true_join_size
-from .truthcache import TruthCache
-
-__all__ = [
-    "machine_metadata",
-    "render_bench_report",
-    "run_execution_bench",
-    "write_bench_json",
-]
+__all__ = ["machine_metadata"]
 
 
 def machine_metadata() -> Dict[str, object]:
@@ -70,319 +23,3 @@ def machine_metadata() -> Dict[str, object]:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
     }
-
-
-def _median_seconds(action: Callable[[], object], repeats: int) -> float:
-    samples: List[float] = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        action()
-        samples.append(time.perf_counter() - started)
-    return statistics.median(samples)
-
-
-def _bench_prefix(
-    database: Database,
-    query: Query,
-    tables: Sequence[str],
-    repeats: int,
-    parallel_workers: Optional[int] = None,
-) -> Dict[str, object]:
-    """Benchmark one join prefix on the engines (plus estimator timings).
-
-    With ``parallel_workers`` set, the morsel-parallel engine is also
-    timed — at that worker count and at one worker — and included in the
-    count-disagreement guard.
-    """
-    sub_query = prefix_query(query, tables)
-    order = list(tables)
-    plan = build_reference_plan(sub_query, database)
-
-    # Warm-up: charges one-time caches (the storage transpose, the plan's
-    # page math) outside the timed region and pins the true count.
-    true_count = Executor(database, engine="columnar").count(plan).count
-    row_check = Executor(database, engine="row").count(plan).count
-    if row_check != true_count:
-        raise BenchmarkError(
-            f"engine disagreement on {'><'.join(tables)}: "
-            f"row={row_check} columnar={true_count}"
-        )
-    if parallel_workers is not None:
-        # Warms the value-index caches and extends the guard three ways.
-        parallel_check = (
-            Executor(database, engine="parallel", morsel_workers=parallel_workers)
-            .count(plan)
-            .count
-        )
-        if parallel_check != true_count:
-            raise BenchmarkError(
-                f"engine disagreement on {'><'.join(tables)}: "
-                f"columnar={true_count} parallel={parallel_check}"
-            )
-
-    estimator = JoinSizeEstimator(sub_query, database.catalog, ELS, True)
-    estimate = estimator.estimate(order)
-    build_s = _median_seconds(
-        lambda: JoinSizeEstimator(sub_query, database.catalog, ELS, True), repeats
-    )
-    estimate_s = _median_seconds(lambda: estimator.estimate(order), repeats)
-    row_truth_s = _median_seconds(
-        lambda: Executor(database, engine="row").count(plan), repeats
-    )
-    columnar_truth_s = _median_seconds(
-        lambda: Executor(database, engine="columnar").count(plan), repeats
-    )
-    cache = TruthCache()
-    true_join_size(sub_query, database, cache=cache)  # fill
-    cached_truth_s = _median_seconds(
-        lambda: true_join_size(sub_query, database, cache=cache), repeats
-    )
-    result: Dict[str, object] = {
-        "label": " >< ".join(tables),
-        "tables": list(tables),
-        "true_count": true_count,
-        "estimate": estimate,
-        "estimator_build_s": build_s,
-        "estimate_s": estimate_s,
-        "row_truth_s": row_truth_s,
-        "columnar_truth_s": columnar_truth_s,
-        "cached_truth_s": cached_truth_s,
-        "speedup": row_truth_s / columnar_truth_s if columnar_truth_s > 0 else 0.0,
-        "truth_cache": cache.stats.to_dict(),
-    }
-    if parallel_workers is not None:
-        parallel_truth_s = _median_seconds(
-            lambda: Executor(
-                database, engine="parallel", morsel_workers=parallel_workers
-            ).count(plan),
-            repeats,
-        )
-        parallel_w1_truth_s = _median_seconds(
-            lambda: Executor(
-                database, engine="parallel", morsel_workers=1
-            ).count(plan),
-            repeats,
-        )
-        result["parallel_truth_s"] = parallel_truth_s
-        result["parallel_w1_truth_s"] = parallel_w1_truth_s
-        result["parallel_speedup"] = (
-            columnar_truth_s / parallel_truth_s if parallel_truth_s > 0 else 0.0
-        )
-        result["parallel_w1_speedup"] = (
-            columnar_truth_s / parallel_w1_truth_s if parallel_w1_truth_s > 0 else 0.0
-        )
-    return result
-
-
-def run_execution_bench(
-    scale: float = 1.0,
-    repeats: int = 5,
-    seed: int = 42,
-    workers: int = 1,
-    sweep: bool = True,
-    timeout_s: Optional[float] = None,
-    retries: Optional[int] = None,
-    checkpoint_path: Optional[str] = None,
-    engine: str = "columnar",
-    morsel_workers: Optional[int] = None,
-) -> Dict[str, object]:
-    """Run the full execution benchmark and return the report dict.
-
-    Args:
-        scale: Table-size scale of the S/M/B/G database (1.0 = the
-            paper's 157k rows).
-        repeats: Timing samples per measurement; medians are reported.
-        seed: Data-generation seed.
-        workers: Process count for the parallel-harness sweep section.
-        sweep: Also time :func:`~repro.analysis.harness.evaluate_workloads`
-            over the prefix workloads (includes per-worker data
-            generation; disable for the quickest run).
-        timeout_s: Per-payload ground-truth budget for the sweep section;
-            payloads that exceed it after retries are recorded as
-            degraded (counted in ``parallel_sweep.degraded_count``)
-            instead of failing the bench.
-        retries: Attempts per sweep payload (``None`` = the harness
-            default policy).
-        checkpoint_path: Sweep checkpoint file; completed payloads are
-            skipped on restart.
-        engine: The newest engine to bench: ``"columnar"`` times row and
-            columnar (the historical report shape); ``"parallel"``
-            additionally times the morsel-parallel engine at
-            ``morsel_workers`` and at one worker.
-        morsel_workers: Worker count for the parallel engine timings
-            (``None`` means one per CPU).
-
-    Raises:
-        BenchmarkError: on invalid knobs (``repeats``/``workers`` < 1,
-            non-positive ``scale``, an unknown ``engine``).
-    """
-    if repeats < 1:
-        raise BenchmarkError(f"repeats must be positive, got {repeats}")
-    validate_engine(engine)
-    if engine == "row":
-        raise BenchmarkError(
-            "bench engine must be 'columnar' or 'parallel'; the row engine "
-            "is always timed as the baseline"
-        )
-    parallel_workers: Optional[int] = None
-    if engine == "parallel":
-        parallel_workers = (
-            morsel_workers if morsel_workers is not None else (os.cpu_count() or 1)
-        )
-        if parallel_workers < 1:
-            raise BenchmarkError(
-                f"morsel_workers must be positive, got {parallel_workers}"
-            )
-    database = load_smbg_database(scale=scale, seed=seed)
-    query = smbg_query(threshold=max(2, int(100 * scale)))
-    tables = list(query.tables)
-    prefixes = [
-        _bench_prefix(
-            database, query, tables[: k + 2], repeats, parallel_workers
-        )
-        for k in range(len(tables) - 1)
-    ]
-    overall_row = sum(p["row_truth_s"] for p in prefixes)
-    overall_columnar = sum(p["columnar_truth_s"] for p in prefixes)
-    engines = ["row", "columnar"] + (["parallel"] if parallel_workers else [])
-    engine_config: Dict[str, object] = {
-        "sweep_workers": workers,
-    }
-    if parallel_workers is not None:
-        engine_config["parallel"] = {
-            "morsel_workers": parallel_workers,
-            "morsel_rows": DEFAULT_MORSEL_ROWS,
-            "radix_bits": DEFAULT_RADIX_BITS,
-            "partitions": 1 << DEFAULT_RADIX_BITS,
-            "fanout_min_probe_rows": FANOUT_MIN_PROBE_ROWS,
-        }
-    report: Dict[str, object] = {
-        "meta": {
-            "tool": "repro-els bench",
-            "scale": scale,
-            "repeats": repeats,
-            "seed": seed,
-            "workers": workers,
-            "engine": engine,
-            "morsel_workers": parallel_workers,
-            "engines": engines,
-            "engine_config": engine_config,
-            "machine": machine_metadata(),
-        },
-        "prefixes": prefixes,
-        "overall": {
-            "row_truth_s": overall_row,
-            "columnar_truth_s": overall_columnar,
-            "speedup": overall_row / overall_columnar if overall_columnar > 0 else 0.0,
-        },
-    }
-    if parallel_workers is not None:
-        overall_parallel = sum(p["parallel_truth_s"] for p in prefixes)
-        overall_parallel_w1 = sum(p["parallel_w1_truth_s"] for p in prefixes)
-        overall = report["overall"]
-        overall["parallel_truth_s"] = overall_parallel
-        overall["parallel_w1_truth_s"] = overall_parallel_w1
-        overall["parallel_speedup"] = (
-            overall_columnar / overall_parallel if overall_parallel > 0 else 0.0
-        )
-        overall["parallel_w1_speedup"] = (
-            overall_columnar / overall_parallel_w1
-            if overall_parallel_w1 > 0
-            else 0.0
-        )
-    if sweep:
-        workloads = [
-            GeneratedWorkload(
-                tuple(smbg_specs(scale)), prefix_query(query, tables[: k + 2])
-            )
-            for k in range(len(tables) - 1)
-        ]
-        policy = (
-            RetryPolicy(max_attempts=retries) if retries is not None else None
-        )
-        started = time.perf_counter()
-        records = evaluate_workloads(
-            workloads,
-            seed=seed,
-            workers=workers,
-            timeout_s=timeout_s,
-            retry=policy,
-            checkpoint_path=checkpoint_path,
-            engine=engine,
-            morsel_workers=parallel_workers,
-        )
-        degraded_count = sum(
-            1 for workload_records in records if any(r.degraded for r in workload_records)
-        )
-        report["parallel_sweep"] = {
-            "workers": workers,
-            "workloads": len(workloads),
-            "seconds": time.perf_counter() - started,
-            "degraded_count": degraded_count,
-        }
-    return report
-
-
-def write_bench_json(report: Dict[str, object], path: str) -> None:
-    """Write the benchmark report as pretty-printed JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-
-
-def render_bench_report(report: Dict[str, object]) -> str:
-    """A human-readable summary table of one benchmark report."""
-    from .report import AsciiTable
-
-    meta = report["meta"]
-    has_parallel = any("parallel_truth_s" in p for p in report["prefixes"])
-    headers = ["Prefix", "True", "Build (s)", "Estimate (s)", "Row (s)", "Columnar (s)", "Speedup"]
-    if has_parallel:
-        headers += ["Parallel (s)", "P-Speedup"]
-    table = AsciiTable(
-        headers,
-        title=f"Execution benchmark at scale {meta['scale']} ({meta['repeats']} repeats)",
-    )
-    for prefix in report["prefixes"]:
-        row = [
-            prefix["label"],
-            prefix["true_count"],
-            f"{prefix['estimator_build_s']:.6f}",
-            f"{prefix['estimate_s']:.6f}",
-            f"{prefix['row_truth_s']:.6f}",
-            f"{prefix['columnar_truth_s']:.6f}",
-            f"{prefix['speedup']:.2f}x",
-        ]
-        if has_parallel:
-            row += [
-                f"{prefix['parallel_truth_s']:.6f}",
-                f"{prefix['parallel_speedup']:.2f}x",
-            ]
-        table.add_row(*row)
-    overall = report["overall"]
-    lines = [table.render()]
-    lines.append(
-        f"overall ground truth: row {overall['row_truth_s']:.6f}s, "
-        f"columnar {overall['columnar_truth_s']:.6f}s "
-        f"({overall['speedup']:.2f}x speedup)"
-    )
-    if has_parallel:
-        workers = meta.get("morsel_workers")
-        lines.append(
-            f"parallel engine ({workers} morsel worker(s)): "
-            f"{overall['parallel_truth_s']:.6f}s "
-            f"({overall['parallel_speedup']:.2f}x over columnar; "
-            f"1-worker {overall['parallel_w1_truth_s']:.6f}s, "
-            f"{overall['parallel_w1_speedup']:.2f}x)"
-        )
-    sweep = report.get("parallel_sweep")
-    if sweep:
-        line = (
-            f"parallel sweep: {sweep['workloads']} workloads with "
-            f"{sweep['workers']} worker(s) in {sweep['seconds']:.3f}s"
-        )
-        degraded_count = sweep.get("degraded_count", 0)
-        if degraded_count:
-            line += f" ({degraded_count} degraded)"
-        lines.append(line)
-    return "\n".join(lines)

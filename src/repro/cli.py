@@ -1,4 +1,4 @@
-"""Command-line interface: estimate, optimize, closure, and demo.
+"""Command-line interface: estimate, optimize, closure, demo, lint and check.
 
 The CLI exposes the library's core loop without writing Python:
 
@@ -9,18 +9,13 @@ The CLI exposes the library's core loop without writing Python:
 * ``repro-els closure`` — the query after predicate transitive closure,
   with each implied predicate and the rule that derived it;
 * ``repro-els demo`` — the paper's Section 8 experiment end to end;
-* ``repro-els bench`` — estimator and ground-truth timings (row vs
-  columnar, plus the morsel-parallel engine with ``--engine parallel
-  --morsel-workers N``) written to ``BENCH_execution.json``;
 * ``repro-els lint`` — the repo's own static-analysis rules (``ELS1xx``)
   over Python sources;
 * ``repro-els check`` — semantic invariant diagnostics (``ELS2xx``) for a
   query against a statistics file, before any estimation runs.
 
 Exit codes: 0 on success/clean, 1 on an error or diagnostics found, 2 on
-usage errors (bad flags, bad lint paths), 3 on *partial* failure — a
-``bench`` sweep that completed but degraded some payloads (ground truth
-exceeded ``--timeout`` after retries; the report still lands on disk).
+usage errors (bad flags, bad lint paths).
 
 Statistics files use the shape of
 :func:`repro.storage.loader.load_stats_json`::
@@ -104,78 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("row", "columnar", "parallel"),
         default="columnar",
         help="execution engine for the ground-truth runs (default columnar)",
-    )
-
-    bench = commands.add_parser(
-        "bench",
-        help="time estimator build/estimate and row vs columnar "
-        "(vs morsel-parallel) ground truth",
-    )
-    bench.add_argument(
-        "--scale", type=float, default=1.0, help="table-size scale (1.0 = paper)"
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=5, help="timing samples per measurement"
-    )
-    bench.add_argument("--seed", type=int, default=42, help="data-generation seed")
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process count for the parallel-harness sweep section",
-    )
-    bench.add_argument(
-        "--output",
-        default="BENCH_execution.json",
-        help="report path (default BENCH_execution.json)",
-    )
-    bench.add_argument(
-        "--no-sweep",
-        action="store_true",
-        help="skip the evaluate_workloads parallel-sweep section",
-    )
-    bench.add_argument(
-        "--engine",
-        choices=("columnar", "parallel"),
-        default="columnar",
-        help="newest engine to bench; 'parallel' also times the "
-        "morsel-parallel engine against columnar (default columnar)",
-    )
-    bench.add_argument(
-        "--morsel-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="morsel worker count for --engine parallel "
-        "(default: one per CPU)",
-    )
-    bench.add_argument(
-        "--min-speedup",
-        type=float,
-        default=0.0,
-        help="fail (exit 1) when the gated speedup — columnar over row, or "
-        "parallel over columnar with --engine parallel — is below this",
-    )
-    bench.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-payload ground-truth budget for the sweep; payloads that "
-        "exceed it after retries degrade instead of aborting (exit 3)",
-    )
-    bench.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="attempts per sweep payload (default: the harness retry policy)",
-    )
-    bench.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="JSONL sweep checkpoint; completed payloads are skipped on restart",
     )
 
     lint = commands.add_parser(
@@ -407,55 +330,6 @@ def _command_demo(args) -> int:
     return 0
 
 
-def _command_bench(args) -> int:
-    from .analysis.bench import (
-        render_bench_report,
-        run_execution_bench,
-        write_bench_json,
-    )
-
-    report = run_execution_bench(
-        scale=args.scale,
-        repeats=args.repeats,
-        seed=args.seed,
-        workers=args.workers,
-        sweep=not args.no_sweep,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        checkpoint_path=args.checkpoint,
-        engine=args.engine,
-        morsel_workers=args.morsel_workers,
-    )
-    write_bench_json(report, args.output)
-    print(render_bench_report(report))
-    print(f"report written to {args.output}")
-    # With --engine parallel the gate moves to the newest engine pair:
-    # parallel over columnar, instead of columnar over row.
-    if args.engine == "parallel":
-        speedup = report["overall"]["parallel_speedup"]
-        gate_label = "parallel-over-columnar"
-    else:
-        speedup = report["overall"]["speedup"]
-        gate_label = "columnar"
-    if args.min_speedup > 0 and speedup < args.min_speedup:
-        print(
-            f"FAIL: {gate_label} speedup {speedup:.2f}x is below the "
-            f"required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    sweep_section = report.get("parallel_sweep") or {}
-    degraded_count = sweep_section.get("degraded_count", 0)
-    if degraded_count:
-        print(
-            f"PARTIAL: {degraded_count} workload(s) degraded (ground truth "
-            f"exceeded the timeout after retries); report written anyway",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
-
-
 def _command_lint(args) -> int:
     return run_lint(
         args.paths,
@@ -490,7 +364,6 @@ _COMMANDS = {
     "optimize": _command_optimize,
     "closure": _command_closure,
     "demo": _command_demo,
-    "bench": _command_bench,
     "lint": _command_lint,
     "check": _command_check,
 }
@@ -500,8 +373,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
     0 = success / no diagnostics, 1 = failure or diagnostics found,
-    2 = usage error (argparse also exits 2 on malformed flags),
-    3 = partial failure (a bench sweep completed with degraded payloads).
+    2 = usage error (argparse also exits 2 on malformed flags).
     """
     parser = build_parser()
     args = parser.parse_args(argv)

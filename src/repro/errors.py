@@ -21,7 +21,6 @@ __all__ = [
     "ExecutionError",
     "InvalidEngineError",
     "WorkloadError",
-    "BenchmarkError",
     "LintError",
     "DiagnosticError",
     "ResilienceError",
@@ -136,15 +135,6 @@ class WorkloadError(ReproError):
             super().__init__(f"{where}: {message}")
         else:
             super().__init__(message)
-
-
-class BenchmarkError(ReproError):
-    """Raised by the benchmark harness for invalid runs.
-
-    Bad parameters (non-positive repeats) and, more importantly, engine
-    disagreement: a benchmark that timed two engines computing *different*
-    answers must fail loudly rather than report a meaningless speedup.
-    """
 
 
 class LintError(ReproError):

@@ -213,6 +213,68 @@ def _best_join(
     return _Candidate(plan, total, state, order, cost_model._input(state.rows, width))
 
 
+def _dynamic_program(
+    estimator: JoinSizeEstimator,
+    cost_model: CostModel,
+    widths: Mapping[str, int],
+    original_rows: Mapping[str, int],
+    methods: Sequence[JoinMethod],
+    bushy: bool = False,
+) -> PlanNode:
+    """Settle every table subset by size and return the full set's plan.
+
+    Each subset is formed from ``(outer, inner)`` pairs of settled
+    sub-candidates: left-deep, ``(best[subset - {r}], scans[r])`` for each
+    relation ``r`` in sorted order; bushy, every ordered split into two
+    non-empty halves (the ordering doubles as the outer/inner orientation
+    choice).  Cartesian products are deferred inside :func:`_best_join`:
+    they are kept only when the subset cannot be formed through a join
+    predicate.
+    """
+    relations = list(estimator.query.tables)
+    if not relations:
+        raise OptimizationError("cannot optimize a query with no tables")
+    scans = _build_scans(estimator, cost_model, widths, original_rows)
+    if len(relations) == 1:
+        return scans[relations[0]].plan
+
+    order_independent = estimator.order_independent
+    best: Dict[FrozenSet[str], _Candidate] = {
+        frozenset((r,)): scans[r] for r in relations
+    }
+    for size in range(2, len(relations) + 1):
+        for subset_tuple in itertools.combinations(sorted(relations), size):
+            subset = frozenset(subset_tuple)
+            if bushy:
+                pairs = [
+                    (outer, inner)
+                    for left_size in range(1, size)
+                    for left in itertools.combinations(subset_tuple, left_size)
+                    if (outer := best.get(frozenset(left))) is not None
+                    and (inner := best.get(subset.difference(left))) is not None
+                ]
+            else:
+                pairs = [
+                    (outer, scans[relation])
+                    for relation in subset_tuple
+                    if (outer := best.get(subset - {relation})) is not None
+                ]
+            winner = _best_join(
+                pairs, estimator, cost_model, methods,
+                bushy=bushy, order_independent=order_independent,
+            )
+            if winner is not None:
+                best[subset] = winner
+
+    full = best.get(frozenset(relations))
+    if full is None:
+        raise OptimizationError(
+            "bushy enumeration found no complete plan" if bushy
+            else "dynamic programming found no plan covering all relations"
+        )
+    return full.plan
+
+
 def enumerate_dp(
     estimator: JoinSizeEstimator,
     cost_model: CostModel,
@@ -237,40 +299,7 @@ def enumerate_dp(
     Raises:
         OptimizationError: if the query has no tables.
     """
-    relations = list(estimator.query.tables)
-    if not relations:
-        raise OptimizationError("cannot optimize a query with no tables")
-    scans = _build_scans(estimator, cost_model, widths, original_rows)
-    if len(relations) == 1:
-        return scans[relations[0]].plan
-
-    order_independent = estimator.order_independent
-    best: Dict[FrozenSet[str], _Candidate] = {
-        frozenset((r,)): scans[r] for r in relations
-    }
-    for size in range(2, len(relations) + 1):
-        for subset in map(frozenset, itertools.combinations(relations, size)):
-            pairs = []
-            for relation in sorted(subset):
-                source = best.get(subset - {relation})
-                if source is not None:
-                    pairs.append((source, scans[relation]))
-            # Cartesian products are deferred inside _best_join: they are
-            # kept only when the subset cannot be formed through a join
-            # predicate.
-            winner = _best_join(
-                pairs, estimator, cost_model, methods,
-                order_independent=order_independent,
-            )
-            if winner is not None:
-                best[subset] = winner
-
-    full = best.get(frozenset(relations))
-    if full is None:
-        raise OptimizationError(
-            "dynamic programming found no plan covering all relations"
-        )
-    return full.plan
+    return _dynamic_program(estimator, cost_model, widths, original_rows, methods)
 
 
 def enumerate_greedy(
@@ -343,38 +372,6 @@ def enumerate_dp_bushy(
         OptimizationError: on a query with no tables, or when the DP
             table never completes a full plan.
     """
-    relations = list(estimator.query.tables)
-    if not relations:
-        raise OptimizationError("cannot optimize a query with no tables")
-    scans = _build_scans(estimator, cost_model, widths, original_rows)
-    if len(relations) == 1:
-        return scans[relations[0]].plan
-
-    order_independent = estimator.order_independent
-    best: Dict[FrozenSet[str], _Candidate] = {
-        frozenset((r,)): scans[r] for r in relations
-    }
-    for size in range(2, len(relations) + 1):
-        for subset_tuple in itertools.combinations(sorted(relations), size):
-            subset = frozenset(subset_tuple)
-            # Every ordered split into two non-empty disjoint halves; the
-            # ordering doubles as the outer/inner orientation choice.
-            pairs = []
-            for left_size in range(1, size):
-                for left_tuple in itertools.combinations(subset_tuple, left_size):
-                    left_set = frozenset(left_tuple)
-                    left_candidate = best.get(left_set)
-                    right_candidate = best.get(subset - left_set)
-                    if left_candidate is not None and right_candidate is not None:
-                        pairs.append((left_candidate, right_candidate))
-            winner = _best_join(
-                pairs, estimator, cost_model, methods,
-                bushy=True, order_independent=order_independent,
-            )
-            if winner is not None:
-                best[subset] = winner
-
-    full = best.get(frozenset(relations))
-    if full is None:
-        raise OptimizationError("bushy enumeration found no complete plan")
-    return full.plan
+    return _dynamic_program(
+        estimator, cost_model, widths, original_rows, methods, bushy=True
+    )

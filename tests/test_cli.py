@@ -160,78 +160,20 @@ class TestDemo:
         assert "ELS" in capsys.readouterr().out
 
 
-class TestBench:
-    def _run(self, tmp_path, capsys, *extra):
-        output = tmp_path / "bench.json"
-        code = main(
-            [
-                "bench",
-                "--scale",
-                "0.02",
-                "--repeats",
-                "1",
-                "--no-sweep",
-                "--output",
-                str(output),
-                *extra,
-            ]
-        )
-        return code, output, capsys.readouterr()
-
-    def test_writes_parseable_report(self, tmp_path, capsys):
-        code, output, captured = self._run(tmp_path, capsys)
-        assert code == 0
-        assert "Execution benchmark" in captured.out
-        report = json.loads(output.read_text())
-        assert report["meta"]["scale"] == 0.02
-        assert report["meta"]["engines"] == ["row", "columnar"]
-        assert "machine" in report["meta"]
-        assert len(report["prefixes"]) == 3
-        for prefix in report["prefixes"]:
-            assert prefix["true_count"] >= 0
-            assert prefix["row_truth_s"] > 0
-            assert prefix["columnar_truth_s"] > 0
-        assert report["overall"]["speedup"] > 0
-        assert "parallel_sweep" not in report
-
-    def test_sweep_section_recorded(self, tmp_path, capsys):
-        output = tmp_path / "bench.json"
-        code = main(
-            [
-                "bench",
-                "--scale",
-                "0.02",
-                "--repeats",
-                "1",
-                "--workers",
-                "2",
-                "--output",
-                str(output),
-            ]
-        )
-        capsys.readouterr()
-        assert code == 0
-        report = json.loads(output.read_text())
-        assert report["parallel_sweep"]["workers"] == 2
-        assert report["parallel_sweep"]["workloads"] == 3
-
-    def test_unreachable_min_speedup_fails(self, tmp_path, capsys):
-        code, output, captured = self._run(tmp_path, capsys, "--min-speedup", "1e9")
-        assert code == 1
-        assert "FAIL" in captured.err
-        # The report is still written for inspection.
-        assert output.exists()
-
-    def test_bad_repeats_is_error_exit(self, tmp_path, capsys):
-        code, _, captured = self._run(tmp_path, capsys, "--repeats", "0")
-        assert code == 1
-        assert "error" in captured.err
-
-
 class TestParser:
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_missing_flag_value_is_exit_two(self, stats_file):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--stats", stats_file, "--query"])
+        assert excinfo.value.code == 2
+
+    def test_unknown_subcommand_is_exit_two(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
 
     def test_unknown_algorithm_exits(self, stats_file):
         with pytest.raises(SystemExit):

@@ -1,114 +1,59 @@
-"""Error paths of ``repro-els bench`` and the documented exit contract.
+"""Exit contract of the CLI, and the sweep's partial-failure behaviours.
 
-The CLI promises four exit codes: ``0`` clean, ``1`` runtime failure
-(:class:`~repro.errors.ReproError`, including a failed ``--min-speedup``
-gate), ``2`` usage error, ``3`` partial failure (the run finished but
-some sweep payloads were degraded).  These tests pin the bench-specific
-failure modes: the engine-disagreement guard, the speedup gate, invalid
-repeat counts, and the degraded-sweep path.
+The CLI promises three exit codes: ``0`` clean, ``1`` runtime failure
+(:class:`~repro.errors.ReproError`), ``2`` usage error.  The sweep's
+partial-failure behaviours (degraded records under a deadline, one
+checkpoint line per payload that a rerun skips) have no CLI caller, so
+they are pinned here on :func:`~repro.analysis.harness.evaluate_workloads`
+directly.
 """
 
 import json
-from types import SimpleNamespace
+import random
 
 import pytest
 
-from repro.analysis.bench import run_execution_bench
+from repro.analysis.harness import PAPER_ALGORITHMS, evaluate_workloads
 from repro.analysis.truthcache import DEFAULT_TRUTH_CACHE
 from repro.cli import main
-from repro.errors import BenchmarkError
+from repro.resilience import RetryPolicy
+from repro.workloads import chain_workload
+
+FAST_RETRY = RetryPolicy(max_attempts=2, base_delay_s=0.0)
 
 
-def _bench_args(tmp_path, *extra):
+def _sweep_workloads(count=2):
     return [
-        "bench",
-        "--scale",
-        "0.02",
-        "--repeats",
-        "1",
-        "--no-sweep",
-        "--output",
-        str(tmp_path / "bench.json"),
-        *extra,
+        chain_workload(3, random.Random(400 + i), max_rows=600)
+        for i in range(count)
     ]
 
 
-def _sweep_args(tmp_path, *extra):
-    """Bench arguments with the parallel sweep left enabled."""
-    return [
-        "bench",
-        "--scale",
-        "0.02",
-        "--repeats",
-        "1",
-        "--retries",
-        "2",
-        "--output",
-        str(tmp_path / "bench.json"),
-        *extra,
-    ]
-
-
-class _DisagreeingExecutor:
-    """Stands in for the real Executor: the engines disagree by one row."""
-
-    def __init__(self, database, engine="row"):
-        self._engine = engine
-
-    def count(self, plan):
-        return SimpleNamespace(count=0 if self._engine == "row" else 1)
-
-
-class TestEngineDisagreementGuard:
-    def test_guard_trips_and_exits_one(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("repro.analysis.bench.Executor", _DisagreeingExecutor)
-        code = main(_bench_args(tmp_path))
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "engine disagreement" in captured.err
-        # The guard fires before any report is assembled.
-        assert not (tmp_path / "bench.json").exists()
-
-    def test_guard_names_the_prefix_and_counts(self, monkeypatch):
-        monkeypatch.setattr("repro.analysis.bench.Executor", _DisagreeingExecutor)
-        with pytest.raises(BenchmarkError) as excinfo:
-            run_execution_bench(scale=0.02, repeats=1, sweep=False)
-        message = str(excinfo.value)
-        assert "row=0" in message and "columnar=1" in message
-
-
-class TestMinSpeedupGate:
-    def test_unreachable_floor_exits_one_but_writes_report(
-        self, tmp_path, capsys
-    ):
-        code = main(_bench_args(tmp_path, "--min-speedup", "1e9"))
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "FAIL" in captured.err
-        report = json.loads((tmp_path / "bench.json").read_text())
-        assert report["overall"]["speedup"] > 0
-
-    def test_trivial_floor_exits_zero(self, tmp_path, capsys):
-        code = main(_bench_args(tmp_path, "--min-speedup", "0.0"))
-        capsys.readouterr()
-        assert code == 0
+@pytest.fixture
+def cold_truth_cache():
+    """A warm shared cache would answer before any deadline."""
+    DEFAULT_TRUTH_CACHE.clear()
+    yield
+    DEFAULT_TRUTH_CACHE.clear()
 
 
 class TestExitContract:
     def test_invalid_repeats_is_runtime_error_one(self, tmp_path, capsys):
-        code = main(_bench_args(tmp_path, "--repeats", "0"))
+        # A count that parses but is invalid fails at run time, not in argparse.
+        stats = tmp_path / "stats.json"
+        stats.write_text(
+            json.dumps(
+                {
+                    "R1": {"rows": -5, "columns": {"x": 10}},
+                    "R2": {"rows": 1000, "columns": {"y": 100}},
+                }
+            )
+        )
+        query = "SELECT * FROM R1, R2 WHERE R1.x = R2.y"
+        code = main(["estimate", "--stats", str(stats), "--query", query])
         captured = capsys.readouterr()
         assert code == 1
         assert "error" in captured.err
-
-    def test_invalid_repeats_raises_benchmark_error(self):
-        with pytest.raises(BenchmarkError):
-            run_execution_bench(repeats=0)
-
-    def test_usage_error_is_exit_two(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(_bench_args(tmp_path, "--repeats"))  # missing value
-        assert excinfo.value.code == 2
 
     def test_lint_usage_error_is_exit_two(self, tmp_path, capsys):
         code = main(["lint", str(tmp_path / "does-not-exist.py")])
@@ -116,64 +61,50 @@ class TestExitContract:
         assert code == 2
         assert "usage error" in captured.err
 
-    def test_clean_bench_exits_zero(self, tmp_path, capsys):
-        code = main(_bench_args(tmp_path))
-        capsys.readouterr()
-        assert code == 0
 
-
+@pytest.mark.usefixtures("cold_truth_cache")
 class TestPartialFailureExitThree:
-    def test_degraded_sweep_exits_three_with_partial_notice(
-        self, tmp_path, capsys
-    ):
-        DEFAULT_TRUTH_CACHE.clear()  # a warm cache would answer before the deadline
-        code = main(_sweep_args(tmp_path, "--timeout", "1e-9"))
-        captured = capsys.readouterr()
-        assert code == 3
-        assert "PARTIAL" in captured.err
-        report = json.loads((tmp_path / "bench.json").read_text())
-        sweep = report["parallel_sweep"]
-        assert sweep["degraded_count"] == sweep["workloads"]
-        assert "degraded" in captured.out  # the rendered summary says so too
+    """Exit code 3 is gone; the partial-failure behaviours it reported stay."""
 
-    def test_generous_timeout_keeps_the_sweep_clean(self, tmp_path, capsys):
-        code = main(_sweep_args(tmp_path, "--timeout", "120"))
-        capsys.readouterr()
-        assert code == 0
-        report = json.loads((tmp_path / "bench.json").read_text())
-        assert report["parallel_sweep"]["degraded_count"] == 0
+    def test_degraded_sweep_exits_three_with_partial_notice(self):
+        workloads = _sweep_workloads(2)
+        results = evaluate_workloads(
+            workloads, seed=7, workers=2, retry=FAST_RETRY, timeout_s=1e-9
+        )
+        assert len(results) == len(workloads)
+        for records in results:
+            assert len(records) == len(PAPER_ALGORITHMS)
+            assert all(record.degraded for record in records)
+            assert all(record.failure.kind == "deadline" for record in records)
 
-    def test_checkpoint_file_records_every_sweep_payload(self, tmp_path, capsys):
+    def test_generous_timeout_keeps_the_sweep_clean(self):
+        results = evaluate_workloads(
+            _sweep_workloads(2), seed=7, workers=2, retry=FAST_RETRY, timeout_s=120.0
+        )
+        assert not any(record.degraded for records in results for record in records)
+
+    def test_checkpoint_file_records_every_sweep_payload(self, tmp_path):
         checkpoint = tmp_path / "sweep.jsonl"
-        code = main(_sweep_args(tmp_path, "--checkpoint", str(checkpoint)))
-        capsys.readouterr()
-        assert code == 0
-        lines = [
-            line for line in checkpoint.read_text().splitlines() if line.strip()
-        ]
-        report = json.loads((tmp_path / "bench.json").read_text())
-        assert len(lines) == report["parallel_sweep"]["workloads"]
+        workloads = _sweep_workloads(3)
+        first = evaluate_workloads(
+            workloads,
+            seed=7,
+            workers=2,
+            retry=FAST_RETRY,
+            checkpoint_path=str(checkpoint),
+        )
+        lines = [line for line in checkpoint.read_text().splitlines() if line.strip()]
+        assert len(lines) == len(workloads)
         # A restart skips the completed payloads: no new lines appear.
-        code = main(_sweep_args(tmp_path, "--checkpoint", str(checkpoint)))
-        capsys.readouterr()
-        assert code == 0
-        again = [
+        again = evaluate_workloads(
+            workloads,
+            seed=7,
+            workers=2,
+            retry=FAST_RETRY,
+            checkpoint_path=str(checkpoint),
+        )
+        assert repr(again) == repr(first)
+        rerun_lines = [
             line for line in checkpoint.read_text().splitlines() if line.strip()
         ]
-        assert again == lines
-
-    def test_report_carries_truth_cache_stats(self, tmp_path, capsys):
-        code = main(_bench_args(tmp_path))
-        capsys.readouterr()
-        assert code == 0
-        report = json.loads((tmp_path / "bench.json").read_text())
-        for prefix in report["prefixes"]:
-            stats = prefix["truth_cache"]
-            assert set(stats) == {
-                "hits",
-                "misses",
-                "evictions",
-                "corruptions",
-                "lookups",
-            }
-            assert stats["hits"] >= 1  # the cached-truth timing loop hit
+        assert rerun_lines == lines

@@ -199,3 +199,65 @@ class TestDocumentationConsistency:
         readme = (root / "README.md").read_text()
         for match in re.findall(r"examples/([a-z_]+\.py)", readme):
             assert (root / "examples" / match).exists(), match
+
+
+class TestPerfbenchContract:
+    """perfbench imports from the package; each import must resolve.
+
+    perfbench sits outside the package and its files change only with the
+    benchmark, so a deleted or renamed name it uses would surface only as
+    a failed run.  This reads its sources without importing them.
+    """
+
+    @staticmethod
+    def _repo_root():
+        import pathlib
+
+        return pathlib.Path(__file__).parent.parent
+
+    def _repro_imports(self):
+        import ast
+
+        found = []
+        for path in sorted((self._repo_root() / "perfbench").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for node in ast.walk(tree):  # function-level imports too
+                if isinstance(node, ast.ImportFrom) and node.level == 0:
+                    module = node.module or ""
+                    if module == "repro" or module.startswith("repro."):
+                        for alias in node.names:
+                            found.append((path.name, module, alias.name))
+                elif isinstance(node, ast.Import):
+                    for alias in node.names:
+                        if alias.name == "repro" or alias.name.startswith("repro."):
+                            found.append((path.name, alias.name, None))
+        return found
+
+    def test_every_repro_import_resolves(self):
+        imports = self._repro_imports()
+        assert any(
+            module == "repro.analysis.bench" and name == "machine_metadata"
+            for _, module, name in imports
+        ), "perfbench no longer stamps machine metadata?"
+        unresolved = []
+        for filename, module, name in imports:
+            imported = importlib.import_module(module)
+            if name is not None and not hasattr(imported, name):
+                unresolved.append(f"{filename}: from {module} import {name}")
+        assert not unresolved, unresolved
+
+    def test_engine_panel_matches_benchmark_json(self):
+        import json
+
+        from repro.execution import ENGINES
+
+        declared = json.loads(
+            (self._repo_root() / "BENCHMARK.json").read_text(encoding="utf-8")
+        )
+        prefix = "execution.engine_ms."
+        named = {
+            metric["name"]
+            for metric in declared["per_layer"]
+            if metric["name"].startswith(prefix)
+        }
+        assert {f"{prefix}{engine}" for engine in ENGINES} == named
