@@ -181,13 +181,12 @@ class TruthCache:
                 self.stats.evictions += 1
 
     def corrupt(self, database: Database, query: Query) -> bool:
-        """Deliberately tamper with one entry (chaos/test hook).
+        """Deliberately tamper with one entry (test hook).
 
         Flips the stored count without refreshing the digest, simulating
         bit rot or a torn write.  Returns whether an entry was present to
-        corrupt.  Production code never calls this; the fault-injection
-        layer (:mod:`repro.resilience.chaos`) uses it to prove the
-        digest-verification path end to end.
+        corrupt.  Production code never calls this; the tests use it to
+        prove the digest-verification path end to end.
         """
         key = self.key(database, query)
         with self._lock:

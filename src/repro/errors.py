@@ -25,8 +25,6 @@ __all__ = [
     "DiagnosticError",
     "ResilienceError",
     "DeadlineExceededError",
-    "RetryExhaustedError",
-    "CheckpointError",
 ]
 
 
@@ -109,13 +107,13 @@ class WorkloadError(ReproError):
     """Raised for invalid workload parameters or failed workload payloads.
 
     The generators raise it with a bare message for bad parameter choices.
-    The parallel harness additionally attaches *which* payload failed, so a
-    sweep that dies after hours names the workload instead of surfacing a
-    raw remote traceback.
+    The evaluation harness additionally attaches *which* workload failed,
+    so a sweep that dies names the workload instead of only the bare
+    error.
 
     Attributes:
         message: Human-readable description of the failure.
-        index: Zero-based payload index in the sweep, when known.
+        index: Zero-based workload index in the sweep, when known.
         description: Short workload description (joined table names).
     """
 
@@ -176,8 +174,9 @@ class DiagnosticError(ReproError):
 class ResilienceError(ReproError):
     """Base class for fault-tolerance failures (:mod:`repro.resilience`).
 
-    Groups deadline, retry, and checkpoint errors so callers can treat
-    "the runtime degraded" separately from "the computation is wrong".
+    Groups runtime-budget failures such as an expired deadline, so callers
+    can treat "the runtime degraded" separately from "the computation is
+    wrong".
     """
 
 
@@ -198,28 +197,3 @@ class DeadlineExceededError(ResilienceError):
         super().__init__(
             f"deadline of {budget_s:.3f}s exceeded after {elapsed_s:.3f}s{where}"
         )
-
-
-class RetryExhaustedError(ResilienceError):
-    """Raised when every attempt allowed by a retry policy has failed.
-
-    Attributes:
-        attempts: How many attempts were made.
-        last_error: The error of the final attempt, when available.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        attempts: int = 0,
-        last_error: Optional[BaseException] = None,
-    ) -> None:
-        self.attempts = attempts
-        self.last_error = last_error
-        super().__init__(
-            f"{message} (after {attempts} attempt(s))" if attempts else message
-        )
-
-
-class CheckpointError(ResilienceError):
-    """Raised for unreadable or structurally invalid checkpoint files."""

@@ -448,7 +448,7 @@ class ParallelHashJoinOp(ColumnarHashJoinOp):
     def _fanout_eligible(self, n_probe: int) -> bool:
         if self._morsel_workers <= 1 or n_probe < FANOUT_MIN_PROBE_ROWS:
             return False
-        # Daemonic processes (e.g. the evaluation harness's own pool
+        # Daemonic processes (e.g. a caller's multiprocessing.Pool
         # workers) cannot spawn children; stay in-process there.
         return not multiprocessing.current_process().daemon
 

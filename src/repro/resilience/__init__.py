@@ -1,52 +1,15 @@
-"""Fault-tolerance primitives for the evaluation runtime.
+"""Cooperative deadlines for bounded-latency ground truth.
 
-The paper's accuracy tables come from long sweeps; this package gives the
-harness the machinery to finish them despite slow joins, crashed workers,
-and corrupted caches:
-
-* :mod:`~repro.resilience.deadline` — cooperative wall-clock budgets the
-  executors check per row/block, raising structured
-  :class:`~repro.errors.DeadlineExceededError`;
-* :mod:`~repro.resilience.retry` — bounded attempts with
-  seeded-deterministic exponential backoff and the
-  :class:`~repro.resilience.retry.FailureReport` degraded payloads carry;
-* :mod:`~repro.resilience.chaos` — seeded, serializable fault plans
-  (worker crashes, slow executions, cache corruption) for differential
-  chaos testing;
-* :mod:`~repro.resilience.checkpoint` — append-only JSONL checkpoints so
-  interrupted sweeps resume instead of restarting.
-
-Everything here is deterministic by construction: backoff jitter and
-sampled fault schedules derive from explicit seeds, and fault firing is a
-pure function of ``(payload index, attempt)`` — the differential test
-suite relies on a faulted parallel run converging byte-identically to the
-fault-free serial run.
+:mod:`~repro.resilience.deadline` holds :class:`Deadline`, a wall-clock
+budget the executors and the exact counter check per row/block, raising a
+structured :class:`~repro.errors.DeadlineExceededError` once it is spent.
+The evaluation harness turns that error into degraded, estimate-only
+records instead of aborting a sweep.
 """
 
-from .chaos import (
-    FAULT_KINDS,
-    FAULT_PLAN_ENV,
-    Fault,
-    FaultPlan,
-    InjectedWorkerCrash,
-)
-from .checkpoint import append_checkpoint, fingerprint_of, load_checkpoint
 from .deadline import DEFAULT_TICK_INTERVAL, Deadline
-from .retry import DEFAULT_RETRY_POLICY, FailureReport, RetryPolicy, retry_call
 
 __all__ = [
-    "DEFAULT_RETRY_POLICY",
     "DEFAULT_TICK_INTERVAL",
     "Deadline",
-    "FAULT_KINDS",
-    "FAULT_PLAN_ENV",
-    "FailureReport",
-    "Fault",
-    "FaultPlan",
-    "InjectedWorkerCrash",
-    "RetryPolicy",
-    "append_checkpoint",
-    "fingerprint_of",
-    "load_checkpoint",
-    "retry_call",
 ]

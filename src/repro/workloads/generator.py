@@ -9,6 +9,7 @@ everything a benchmark needs to measure estimated-versus-true join sizes.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -70,6 +71,12 @@ class TableSpec:
             rows,
             {column: ColumnSpec(distinct=d) for column, d in distincts.items()},
         )
+
+
+def _check_scale(scale: float) -> None:
+    """Reject a table-size scale factor that is not finite and positive."""
+    if not (math.isfinite(scale) and scale > 0):
+        raise WorkloadError(f"scale must be finite and > 0, got {scale}")
 
 
 def generate_columns(

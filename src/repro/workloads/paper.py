@@ -13,7 +13,7 @@ from ..catalog.statistics import Catalog
 from ..sql.parser import parse_query
 from ..sql.query import Query
 from ..storage.database import Database
-from .generator import TableSpec, build_database
+from .generator import TableSpec, _check_scale, build_database
 
 __all__ = [
     "example_1b_catalog",
@@ -96,7 +96,12 @@ SMBG_DISTINCTS: Dict[str, Tuple[str, int]] = {
 
 
 def smbg_catalog(scale: float = 1.0) -> Catalog:
-    """The experiment's statistics, optionally scaled down uniformly."""
+    """The experiment's statistics, optionally scaled down uniformly.
+
+    Raises:
+        WorkloadError: unless ``scale`` is finite and positive.
+    """
+    _check_scale(scale)
     entries = {}
     for table, rows in SMBG_ROWS.items():
         column, distinct = SMBG_DISTINCTS[table]
@@ -129,7 +134,11 @@ def smbg_specs(scale: float = 1.0) -> List[TableSpec]:
     size of every join subset after ``s < 100`` is exactly the number of
     selected S-rows — the paper: "The correct join result size after any
     subset of joins has been performed can be shown to be exactly 100."
+
+    Raises:
+        WorkloadError: unless ``scale`` is finite and positive.
     """
+    _check_scale(scale)
     specs = []
     for table, rows in SMBG_ROWS.items():
         column, distinct = SMBG_DISTINCTS[table]

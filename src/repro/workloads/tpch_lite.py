@@ -35,7 +35,7 @@ from typing import Dict, List
 from ..sql.parser import parse_query
 from ..sql.query import Query
 from ..storage.database import Database
-from .generator import ColumnSpec, TableSpec, build_database
+from .generator import ColumnSpec, TableSpec, _check_scale, build_database
 
 __all__ = [
     "TPCH_SCHEMAS",
@@ -83,7 +83,12 @@ def _rows(table: str, scale: float) -> int:
 
 
 def tpch_lite_specs(scale: float = 0.05) -> List[TableSpec]:
-    """Table specs for the miniature TPC-H schema at a scale factor."""
+    """Table specs for the miniature TPC-H schema at a scale factor.
+
+    Raises:
+        WorkloadError: unless ``scale`` is finite and positive.
+    """
+    _check_scale(scale)
     region = _rows("region", scale)
     nation = _rows("nation", scale)
     supplier = _rows("supplier", scale)

@@ -5,8 +5,10 @@ import random
 import pytest
 
 from repro.analysis import (
+    DEFAULT_TRUTH_CACHE,
     PAPER_ALGORITHMS,
     evaluate_workload,
+    evaluate_workloads,
     prefix_query,
     run_error_propagation,
 )
@@ -75,6 +77,37 @@ class TestEvaluateWorkload:
         workload = chain_workload(3, random.Random(2))
         records = evaluate_workload(workload, seed=2, order=["T3", "T2", "T1"])
         assert len(records) == len(PAPER_ALGORITHMS)
+
+
+def _sweep_workloads(count=2):
+    return [
+        chain_workload(3, random.Random(400 + i), max_rows=600)
+        for i in range(count)
+    ]
+
+
+@pytest.fixture
+def cold_truth_cache():
+    """A warm shared cache would answer before any deadline."""
+    DEFAULT_TRUTH_CACHE.clear()
+    yield
+    DEFAULT_TRUTH_CACHE.clear()
+
+
+@pytest.mark.usefixtures("cold_truth_cache")
+class TestSweepDeadline:
+    def test_expired_deadline_degrades_every_record(self):
+        workloads = _sweep_workloads(2)
+        results = evaluate_workloads(workloads, seed=7, timeout_s=1e-9)
+        assert len(results) == len(workloads)
+        for records in results:
+            assert len(records) == len(PAPER_ALGORITHMS)
+            assert all(record.degraded for record in records)
+            assert all("deadline" in record.failure for record in records)
+
+    def test_generous_timeout_keeps_the_sweep_clean(self):
+        results = evaluate_workloads(_sweep_workloads(2), seed=7, timeout_s=120.0)
+        assert not any(record.degraded for records in results for record in records)
 
 
 class TestErrorPropagation:

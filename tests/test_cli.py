@@ -159,6 +159,45 @@ class TestDemo:
         assert code == 0
         assert "ELS" in capsys.readouterr().out
 
+    def test_default_scale_runs(self, capsys):
+        assert main(["demo"]) == 0
+        assert "ELS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf"])
+    def test_bad_scale_is_runtime_error_one(self, capsys, scale):
+        code = main(["demo", "--scale", scale])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "error: scale must be finite and > 0" in captured.err
+
+
+class TestExitContract:
+    """``0`` clean, ``1`` runtime failure (a library error), ``2`` usage error."""
+
+    def test_negative_row_count_is_runtime_error_one(self, tmp_path, capsys):
+        # A count that parses but is invalid fails at run time, not in argparse.
+        stats = tmp_path / "stats.json"
+        stats.write_text(
+            json.dumps(
+                {
+                    "R1": {"rows": -5, "columns": {"x": 10}},
+                    "R2": {"rows": 1000, "columns": {"y": 100}},
+                }
+            )
+        )
+        query = "SELECT * FROM R1, R2 WHERE R1.x = R2.y"
+        code = main(["estimate", "--stats", str(stats), "--query", query])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error" in captured.err
+
+    def test_lint_usage_error_is_exit_two(self, tmp_path, capsys):
+        code = main(["lint", str(tmp_path / "does-not-exist.py")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "usage error" in captured.err
+
 
 class TestParser:
     def test_missing_command_exits(self):

@@ -1,4 +1,4 @@
-"""Graceful degradation, retries, and error wrapping in the sweep harness."""
+"""Graceful degradation and error wrapping in the sweep harness."""
 
 import math
 import random
@@ -12,10 +12,7 @@ from repro.analysis.harness import (
 )
 from repro.analysis.truthcache import DEFAULT_TRUTH_CACHE
 from repro.errors import DeadlineExceededError, EstimationError, WorkloadError
-from repro.resilience import RetryPolicy
 from repro.workloads import chain_workload
-
-FAST_RETRY = RetryPolicy(max_attempts=2, base_delay_s=0.0)
 
 
 def small_workloads(count=2):
@@ -36,9 +33,7 @@ def cold_truth_cache():
 class TestDeadlineDegradation:
     def test_impossible_deadline_degrades_instead_of_aborting(self):
         workloads = small_workloads(2)
-        results = evaluate_workloads(
-            workloads, seed=3, retry=FAST_RETRY, timeout_s=1e-9
-        )
+        results = evaluate_workloads(workloads, seed=3, timeout_s=1e-9)
         assert len(results) == 2
         for records in results:
             assert len(records) == len(PAPER_ALGORITHMS)
@@ -48,28 +43,24 @@ class TestDeadlineDegradation:
                 assert math.isnan(record.q_error)
                 assert math.isnan(record.ratio)
                 assert record.failure is not None
-                assert record.failure.kind == "deadline"
-                assert record.failure.attempts == FAST_RETRY.max_attempts
+                assert "deadline" in record.failure
 
     def test_degraded_records_still_carry_the_estimates(self):
         workloads = small_workloads(1)
-        degraded = evaluate_workloads(
-            workloads, seed=3, retry=FAST_RETRY, timeout_s=1e-9
-        )
+        degraded = evaluate_workloads(workloads, seed=3, timeout_s=1e-9)
         DEFAULT_TRUTH_CACHE.clear()
-        healthy = evaluate_workloads(workloads, seed=3, retry=FAST_RETRY)
+        healthy = evaluate_workloads(workloads, seed=3)
         for bad, good in zip(degraded[0], healthy[0]):
             assert bad.algorithm == good.algorithm
             assert bad.estimate == good.estimate  # same data, same estimator
             assert not good.degraded
+            assert good.failure is None
 
     def test_generous_deadline_changes_nothing(self):
         workloads = small_workloads(2)
-        bounded = evaluate_workloads(
-            workloads, seed=3, retry=FAST_RETRY, timeout_s=120.0
-        )
+        bounded = evaluate_workloads(workloads, seed=3, timeout_s=120.0)
         DEFAULT_TRUTH_CACHE.clear()
-        unbounded = evaluate_workloads(workloads, seed=3, retry=FAST_RETRY)
+        unbounded = evaluate_workloads(workloads, seed=3)
         assert repr(bounded) == repr(unbounded)
 
     def test_evaluate_workload_raises_rather_than_degrades(self):
@@ -91,71 +82,21 @@ class TestErrorWrapping:
         monkeypatch.setattr(harness, "true_join_size", broken_truth)
         workloads = small_workloads(2)
         with pytest.raises(WorkloadError) as excinfo:
-            evaluate_workloads(workloads, seed=3, retry=FAST_RETRY)
+            evaluate_workloads(workloads, seed=3)
         error = excinfo.value
         assert error.index == 0
         assert error.description == "T1 >< T2 >< T3"
         assert "workload[0]" in str(error)
         assert "catalog is inconsistent" in str(error)
-        assert len(calls) == 1  # deterministic errors are not retried
+        assert isinstance(error.__cause__, EstimationError)
+        assert len(calls) == 1  # the sweep stops at the first failure
 
-    def test_unexpected_exception_is_retried_then_wrapped(self, monkeypatch):
+    def test_non_library_exception_propagates_unwrapped(self, monkeypatch):
         import repro.analysis.harness as harness
 
-        calls = []
+        def broken_truth(*args, **kwargs):
+            raise OSError("disk went away")
 
-        def flaky_truth(*args, **kwargs):
-            calls.append(1)
-            raise OSError("transient I/O hiccup")
-
-        monkeypatch.setattr(harness, "true_join_size", flaky_truth)
-        workloads = small_workloads(1)
-        with pytest.raises(WorkloadError) as excinfo:
-            evaluate_workloads(workloads, seed=3, retry=FAST_RETRY)
-        assert len(calls) == FAST_RETRY.max_attempts
-        assert "OSError" in str(excinfo.value)
-
-    def test_transient_exception_recovers_on_retry(self, monkeypatch):
-        import repro.analysis.harness as harness
-
-        real_truth = harness.true_join_size
-        state = {"failures": 1}
-
-        def flaky_truth(*args, **kwargs):
-            if state["failures"] > 0:
-                state["failures"] -= 1
-                raise OSError("transient I/O hiccup")
-            return real_truth(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "true_join_size", flaky_truth)
-        workloads = small_workloads(1)
-        recovered = evaluate_workloads(workloads, seed=3, retry=FAST_RETRY)
-        monkeypatch.setattr(harness, "true_join_size", real_truth)
-        DEFAULT_TRUTH_CACHE.clear()
-        healthy = evaluate_workloads(workloads, seed=3, retry=FAST_RETRY)
-        assert repr(recovered) == repr(healthy)
-
-
-class TestPoolReaping:
-    def test_crash_fault_sweep_reaps_workers_and_matches_serial(self):
-        """A crash fault kills the pool mid-sweep; the re-spawn path must
-        terminate+join the dead pool (no lingering children) and the
-        retried sweep must still equal the serial run byte for byte."""
-        import multiprocessing
-
-        from repro.resilience import Fault, FaultPlan
-
-        workloads = small_workloads(3)
-        plan = FaultPlan(faults=(Fault(kind="crash", index=1),))
-        serial = evaluate_workloads(
-            workloads, seed=11, workers=1, retry=FAST_RETRY,
-            fault_plan=FaultPlan(),
-        )
-        DEFAULT_TRUTH_CACHE.clear()
-        pooled = evaluate_workloads(
-            workloads, seed=11, workers=2, retry=FAST_RETRY, fault_plan=plan
-        )
-        assert repr(pooled) == repr(serial)
-        # join() in the re-spawn path reaps every worker before return,
-        # so no child of the dead pool can still be running here.
-        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(harness, "true_join_size", broken_truth)
+        with pytest.raises(OSError, match="disk went away"):
+            evaluate_workloads(small_workloads(1), seed=3)

@@ -1,12 +1,8 @@
-"""Parallel evaluation harness: determinism across worker counts."""
+"""Sweep harness: seed assignment, input order and engine independence."""
 
 import random
 
-from repro.analysis import (
-    PAPER_ALGORITHMS,
-    evaluate_workload,
-    evaluate_workloads,
-)
+from repro.analysis import evaluate_workload, evaluate_workloads
 from repro.workloads import chain_workload, star_workload
 
 
@@ -27,43 +23,10 @@ def _flatten(results):
 
 
 class TestEvaluateWorkloads:
-    def test_serial_matches_parallel(self):
-        workloads = _workloads()
-        serial = evaluate_workloads(workloads, seed=10, workers=1)
-        parallel = evaluate_workloads(workloads, seed=10, workers=3)
-        assert _flatten(serial) == _flatten(parallel)
-
-    def test_four_workers_byte_identical_to_serial(self):
-        # Stronger than field-wise equality: the full repr of every record
-        # (all fields, formatting included) must match byte for byte, so a
-        # worker-local RNG or float nondeterminism cannot hide anywhere.
-        workloads = _workloads()
-        serial = evaluate_workloads(workloads, seed=42, workers=1)
-        parallel = evaluate_workloads(workloads, seed=42, workers=4)
-        assert repr(serial) == repr(parallel)
-        assert repr(serial).encode("utf-8") == repr(parallel).encode("utf-8")
-
-    def test_more_workers_than_workloads(self):
-        workloads = _workloads()[:2]
-        results = evaluate_workloads(workloads, seed=0, workers=16)
-        assert len(results) == 2
-        assert all(len(records) == len(PAPER_ALGORITHMS) for records in results)
-
-    def test_result_order_preserves_input_order(self):
-        workloads = _workloads()
-        results = evaluate_workloads(workloads, seed=5, workers=2)
-        for index, (workload, records) in enumerate(zip(workloads, results)):
-            expected = evaluate_workload(workload, seed=5 + index)
-            # The records at position i belong to workload i, not to
-            # whichever worker finished first.
-            assert [(r.algorithm, r.estimate, r.actual) for r in records] == [
-                (r.algorithm, r.estimate, r.actual) for r in expected
-            ]
-
     def test_workload_i_gets_seed_plus_i(self):
-        """The parallel harness must reproduce per-workload serial calls."""
+        """The sweep must reproduce per-workload calls, in input order."""
         workloads = _workloads()
-        batched = evaluate_workloads(workloads, seed=20, workers=1)
+        batched = evaluate_workloads(workloads, seed=20)
         individual = [
             evaluate_workload(workload, seed=20 + index)
             for index, workload in enumerate(workloads)
@@ -71,18 +34,10 @@ class TestEvaluateWorkloads:
         assert _flatten(batched) == _flatten(individual)
 
     def test_empty_workload_list(self):
-        assert evaluate_workloads([], seed=0, workers=4) == []
+        assert evaluate_workloads([], seed=0) == []
 
     def test_engine_choice_does_not_change_results(self):
         workloads = _workloads()[:1]
         row = evaluate_workloads(workloads, seed=3, engine="row")
         columnar = evaluate_workloads(workloads, seed=3, engine="columnar")
         assert _flatten(row) == _flatten(columnar)
-
-    def test_single_workload_runs_serially(self):
-        # workers > 1 with one payload must not pay pool startup; result
-        # equality is the observable contract.
-        workloads = _workloads()[:1]
-        a = evaluate_workloads(workloads, seed=7, workers=8)
-        b = evaluate_workloads(workloads, seed=7, workers=1)
-        assert _flatten(a) == _flatten(b)

@@ -1,10 +1,9 @@
 """Regression tests for the ELS6xx dogfood fixes.
 
 The ``--perf`` sweep over ``src/`` flagged real hot-path hazards that
-were then fixed: per-resume fingerprint recomputation in the harness
-checkpoint loop (ELS604), per-inner-row outer-key re-extraction in the
-nested-loop join, and per-call lambda/key-function allocation in the
-greedy ground-truth order and Rules SS/LS combination (ELS605).  These
+were then fixed: per-inner-row outer-key re-extraction in the nested-loop
+join, and per-call lambda/key-function allocation in the greedy
+ground-truth order and Rules SS/LS combination (ELS605).  These
 tests pin the *behavior* of the rewritten code so the optimizations
 cannot drift semantically, and count the expensive calls so the
 quadratic shapes cannot quietly come back.
@@ -12,9 +11,6 @@ quadratic shapes cannot quietly come back.
 
 import random
 
-import pytest
-
-from repro.analysis.harness import _Payload, evaluate_workloads
 from repro.analysis.truth import _greedy_order, build_reference_plan
 from repro.core.estimator import _by_selectivity
 from repro.execution import (
@@ -23,53 +19,8 @@ from repro.execution import (
     NestedLoopJoinOp,
     TableScanOp,
 )
-from repro.resilience import RetryPolicy
 from repro.sql import Op, join_predicate, local_predicate
 from repro.workloads import chain_workload
-
-FAST_RETRY = RetryPolicy(max_attempts=2, base_delay_s=0.0)
-
-
-def small_workloads(count=2):
-    return [
-        chain_workload(3, random.Random(300 + i), max_rows=400)
-        for i in range(count)
-    ]
-
-
-class TestHarnessFingerprintOnce:
-    def test_fingerprint_computed_once_per_payload(self, tmp_path, monkeypatch):
-        """A checkpointed sweep digests each payload exactly once (ELS604)."""
-        calls = []
-        real_fingerprint = _Payload.fingerprint
-
-        def counting_fingerprint(self):
-            calls.append(self.index)
-            return real_fingerprint(self)
-
-        monkeypatch.setattr(_Payload, "fingerprint", counting_fingerprint)
-        workloads = small_workloads(2)
-        path = str(tmp_path / "sweep.jsonl")
-        evaluate_workloads(
-            workloads, seed=7, retry=FAST_RETRY, checkpoint_path=path
-        )
-        assert sorted(calls) == [0, 1]
-
-        calls.clear()
-        evaluate_workloads(
-            workloads, seed=7, retry=FAST_RETRY, checkpoint_path=path
-        )
-        assert sorted(calls) == [0, 1]  # resume also digests once each
-
-    def test_uncheckpointed_sweep_never_fingerprints(self, monkeypatch):
-        def failing_fingerprint(self):
-            raise AssertionError("fingerprint() without a checkpoint")
-
-        monkeypatch.setattr(_Payload, "fingerprint", failing_fingerprint)
-        results = evaluate_workloads(
-            small_workloads(1), seed=7, retry=FAST_RETRY
-        )
-        assert results
 
 
 def scan(relation, columns, rows, metrics):

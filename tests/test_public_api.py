@@ -78,10 +78,7 @@ MODULES = PACKAGES + [
     "repro.optimizer.optimizer",
     "repro.optimizer.plans",
     "repro.optimizer.random_search",
-    "repro.resilience.chaos",
-    "repro.resilience.checkpoint",
     "repro.resilience.deadline",
-    "repro.resilience.retry",
     "repro.sql.lexer",
     "repro.sql.parser",
     "repro.sql.predicates",

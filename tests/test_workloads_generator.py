@@ -106,3 +106,12 @@ class TestPaperSpecs:
         catalog = smbg_catalog(scale=0.1)
         assert catalog.stats("S").row_count == 100
         assert catalog.stats("G").row_count == 10000
+
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_bad_scale_rejected(self, scale):
+        from repro.workloads import smbg_catalog, smbg_specs
+
+        with pytest.raises(WorkloadError, match="scale must be finite and > 0"):
+            smbg_specs(scale)
+        with pytest.raises(WorkloadError, match="scale must be finite and > 0"):
+            smbg_catalog(scale)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import true_join_size
+from repro.errors import WorkloadError
 from repro.core import ELS, SM, JoinSizeEstimator
 from repro.execution import Executor
 from repro.optimizer import Optimizer
@@ -36,6 +37,11 @@ class TestSchema:
             <= specs["orders"].rows
         )
         assert specs["customer"].columns["c_nation"].distinct <= 25
+
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(WorkloadError, match="scale must be finite and > 0"):
+            tpch_lite_specs(scale)
 
     def test_database_loads_and_analyzes(self, tpch_db):
         assert tpch_db.catalog.stats("lineitem").row_count == 12000
