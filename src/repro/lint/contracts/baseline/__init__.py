@@ -1,6 +1,6 @@
 """The committed public-API baseline behind ELS707.
 
-``api-baseline.json`` (shipped next to this module) records, for every
+``api-baseline.json`` (shipped next to this package) records, for every
 package module that declares ``__all__``, the exported names and a
 canonical signature string per name.  The contract layer recomputes the
 same record from the analyzed ASTs and reports any *unacknowledged*
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ...errors import LintError
+from ....errors import LintError
 
 __all__ = [
     "ApiEntry",
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 #: The committed baseline, shipped as package data.
-DEFAULT_BASELINE_PATH = Path(__file__).resolve().parent / "api-baseline.json"
+DEFAULT_BASELINE_PATH = Path(__file__).resolve().parents[1] / "api-baseline.json"
 
 #: Signature recorded for an ``__all__`` name not defined in the module.
 _REEXPORT = "re-export"
@@ -239,7 +239,7 @@ def entry_payload(entry: ApiEntry) -> Dict[str, object]:
 
 def generate_baseline(package_root: Path) -> Dict[str, Dict[str, object]]:
     """Recompute the full baseline from a package source tree."""
-    from .architecture import module_name_of
+    from ..architecture import module_name_of
 
     baseline: Dict[str, Dict[str, object]] = {}
     for source in sorted(package_root.rglob("*.py")):
@@ -335,7 +335,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="baseline file to write/verify (default: the committed one)",
     )
     args = parser.parse_args(argv)
-    package_root = Path(__file__).resolve().parents[2]
+    package_root = Path(__file__).resolve().parents[3]
     generated = generate_baseline(package_root)
     text = render_baseline(generated)
     target = Path(args.baseline) if args.baseline else DEFAULT_BASELINE_PATH
@@ -357,7 +357,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     target.write_text(text, encoding="utf-8")
     print(f"wrote {target} ({len(generated)} modules)")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via console
-    sys.exit(main())

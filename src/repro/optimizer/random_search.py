@@ -28,8 +28,8 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..core.estimator import JoinSizeEstimator
 from ..errors import OptimizationError
-from .cost import CostModel
-from .enumerate import _best_join, _build_scans, _Candidate
+from .cost import CostModel, _columns, _Input
+from .enumerate import _JOIN_COST, _build_scans, _Candidate, _choose, _joined
 from .plans import JoinMethod, PlanNode
 
 __all__ = ["cost_of_order", "enumerate_iterative_improvement", "enumerate_annealing"]
@@ -47,18 +47,41 @@ def cost_of_order(
     """Build the best left-deep plan for a fixed join order.
 
     Each step picks the cheapest applicable join method; the estimator is
-    walked incrementally along the order exactly as in the DP.  Returns
-    ``None`` when some step has no applicable method (cannot happen with
-    nested loops in the repertoire, since NL accepts cartesian steps).
+    walked incrementally along the order exactly as in the DP.  The walk
+    fixes every step's inputs before any method is chosen, so all of the
+    order's joins are priced in one pass of the batched cost formulas.
+    Returns ``None`` when some step has no applicable method (cannot
+    happen with nested loops in the repertoire, since NL accepts cartesian
+    steps).
     """
-    candidate = scans[order[0]]
+    first = scans[order[0]]
+    state, width = first.state, first.plan.row_width
+    steps = []
+    terms = [first.terms]
     for relation in order[1:]:
-        expanded = _best_join(
-            ((candidate, scans[relation]),), estimator, cost_model, methods
+        inner = scans[relation]
+        state, step = estimator.join(state, relation)
+        width += inner.plan.row_width
+        steps.append((inner, state, step.eligible, width))
+        terms.append(cost_model._input(state.rows, width))
+    outer_terms = _Input(*_columns(terms[:-1]))
+    inner_terms = _Input(*_columns([inner.terms for inner, _, _, _ in steps]))
+    join_costs = [
+        _JOIN_COST[method](cost_model, outer_terms, inner_terms).tolist()
+        for method in methods
+    ]
+    candidate = first
+    for k, (inner, state, eligible, width) in enumerate(steps):
+        method, total = _choose(
+            methods,
+            [costs[k] for costs in join_costs],
+            candidate.cost + inner.cost,
+            cost_model.output_cost(state.rows, width),
+            eligible,
         )
-        if expanded is None:
+        if method is None:
             return None
-        candidate = expanded
+        candidate = _joined(candidate, inner, method, total, state, eligible, terms[k + 1])
     return candidate
 
 

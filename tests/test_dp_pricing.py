@@ -379,3 +379,27 @@ def test_star_whose_best_plan_starts_with_a_cartesian_product():
         plan, _, _ = _compare(query, catalog, widths, rows, ELS, True, methods, enumerator)
         crossed = [c for c in (plan.left, plan.right) if c.tables == {"D1", "D2"}]
         assert len(crossed) == 1 and crossed[0].is_cartesian
+
+
+#: The setups the 8- and 9-relation cases run: ELS as ``plan`` runs it, and
+#: SM without closure, whose star subsets of dimensions form only as
+#: cartesian products, and SSS, an order-dependent rule whose DP runs the
+#: estimator for every visited option.
+LARGE_SETUPS = {"ELS": (ELS, True), "SM-no-closure": (SM, False), "SSS": (SSS, True)}
+
+
+@pytest.mark.parametrize("setup", sorted(LARGE_SETUPS))
+@pytest.mark.parametrize("enumerator", ["dp", "dp-bushy"])
+@pytest.mark.parametrize("shape,size", [(s, n) for s in ("star", "clique") for n in (8, 9)])
+def test_priced_dp_matches_exhaustive_reference_at_plan_sizes(shape, size, enumerator, setup):
+    # ``plan`` optimizes graphs of up to 9 relations; these are the sizes
+    # where each DP level prices hundreds of options in one pass.
+    workload = _workload(shape, size, random.Random(1000 * size))
+    catalog = _catalog(workload.specs)
+    widths = {spec.name: 8 * len(spec.columns) for spec in workload.specs}
+    rows = {spec.name: spec.rows for spec in workload.specs}
+    config, closure = LARGE_SETUPS[setup]
+    _compare(
+        workload.query, catalog, widths, rows, config, closure,
+        METHOD_SETS["NL+SM"], enumerator,
+    )

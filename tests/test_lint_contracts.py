@@ -10,7 +10,10 @@ regressions for the tree-wide dogfooding fixes this layer forced.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -781,6 +784,22 @@ class TestCommittedDataFiles:
     def test_committed_baseline_loads(self):
         baseline = load_baseline()
         assert "repro.core.estimator" in baseline
+
+    def test_baseline_check_command_writes_nothing_to_stderr(self):
+        # ``-m`` must run a module that ``repro.lint.contracts`` has not
+        # already imported, or Python warns on every run.
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.lint.contracts.baseline", "--check"],
+            capture_output=True,
+            text=True,
+            cwd=ROOT,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert "is up to date" in result.stdout
 
     def test_toml_subset_parses_the_real_manifest(self):
         data = parse_toml_subset(DEFAULT_MANIFEST_PATH.read_text())
